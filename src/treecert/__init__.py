@@ -2,6 +2,8 @@
 extra constrained forest, cross-checked against exact combinatorial oracles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .certify import (
     CertificateReport,
     CertificateRequest,
@@ -35,7 +37,6 @@ from .harness import (
     ExperimentReport,
     FamilySpec,
     Lemma41Fixture,
-    default_config,
     generate,
     lemma41_gadget_fixture,
     run_experiment,
@@ -69,4 +70,8 @@ from .spectra import (
     sym_eigenvalues,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

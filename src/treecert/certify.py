@@ -4,9 +4,11 @@ cross-verification.
 
 Each condition is a row in a registry: which eigenvalue (or the exact
 fractional packing number) is measured, the exact threshold built from
-k, the degree bounds, and the matrix parameters, the inequality
-direction, and which hypotheses (minimum degree, class membership,
-parameter constraints) must hold first.
+k, the degree bounds, and the matrix parameters, and which hypotheses
+(minimum degree, class membership, parameter constraints) must hold
+first. The side of the spectrum fixes the inequality direction: a
+smallest-side eigenvalue must exceed its threshold, a largest-side one
+must stay below it.
 
 Decision semantics: strict float inequalities are decided inside a
 decision-tolerance band (within the band is MARGINAL, never CERTIFIED);
@@ -30,7 +32,7 @@ from .packing import (
     nu_f_exact,
     search_pkd_witness,
 )
-from .spectra import spectral_profile
+from .spectra import check_tol, spectral_profile
 
 DEFAULT_DECISION_TOL = 1e-8
 CROSS_DEFAULT_ON_MAX_N = 10
@@ -49,14 +51,33 @@ class _Rule:
     k_min: int
     min_delta: Callable[[int], int]
     gt_class: int  # 0 none, 1 or 2
-    takes_a: bool
     b_sign: int  # 0: no b parameter; +1 / -1: required sign
-    a_min: Fraction | None
+    a_min: Fraction | None  # None: no a parameter
     matrix: Callable  # (a, b) -> (a_used, b_used)
     side: str  # "largest" | "smallest"
     index: int
-    direction: str  # ">" | "<"
     threshold: Callable  # (k, delta, Delta, a, b) -> Fraction
+
+    def param_error(self, k: int, a: Fraction | None, b: Fraction | None) -> str | None:
+        """Why (k, a, b) lies outside this condition's parameter range, or
+        None when the condition accepts it."""
+        if k < self.k_min:
+            return f"needs k >= {self.k_min}, got {k}"
+        if (a is None) != (self.a_min is None):
+            return "requires parameter a" if a is None else "does not take parameter a"
+        if a is not None and a < self.a_min:
+            return f"needs a >= {self.a_min}, got a = {a}"
+        if (b is None) != (self.b_sign == 0):
+            return "requires parameter b" if b is None else "does not take parameter b"
+        if b is None:
+            return None
+        if b == 0:
+            return "needs b nonzero"
+        if (b > 0) != (self.b_sign > 0):
+            return f"needs b {'>' if self.b_sign > 0 else '<'} 0, got {b}"
+        if self.a_min == -1 and a / b < -1:
+            return f"needs a/b >= -1, got {a}/{b}"
+        return None
 
 
 def _fixed(a: int, b: int) -> Callable:
@@ -65,84 +86,84 @@ def _fixed(a: int, b: int) -> Callable:
 
 _REGISTRY: dict[str, _Rule] = {
     "thm1.2": _Rule(
-        2, lambda k: 2 * k + 2, 1, False, 0, None, _fixed(1, -1), "smallest", 3, ">",
+        2, lambda k: 2 * k + 2, 1, 0, None, _fixed(1, -1), "smallest", 3,
         lambda k, d, D, a, b: 16 * _base(k, d) / (3 * (d + 1)),
     ),
     "thm1.3": _Rule(
-        2, lambda k: 3 * k + 3, 2, False, 0, None, _fixed(1, -1), "smallest", 4, ">",
+        2, lambda k: 3 * k + 3, 2, 0, None, _fixed(1, -1), "smallest", 4,
         lambda k, d, D, a, b: 9 * _base(k, d) / (d + 1),
     ),
     "thm5.1": _Rule(
-        1, lambda k: 2 * k + 2, 0, False, 0, None, _fixed(0, 1), "largest", 2, "<",
+        1, lambda k: 2 * k + 2, 0, 0, None, _fixed(0, 1), "largest", 2,
         lambda k, d, D, a, b: d - 2 * _base(k, d) / (d + 1),
     ),
     "cor3.1i": _Rule(
-        2, lambda k: 2 * k + 2, 1, True, 0, Q(-1), lambda a, b: (a, Q(1)),
-        "largest", 3, "<",
+        2, lambda k: 2 * k + 2, 1, 0, Q(-1), lambda a, b: (a, Q(1)),
+        "largest", 3,
         lambda k, d, D, a, b: (a + 1) * d - 16 * _base(k, d) / (3 * (d + 1)),
     ),
     "cor3.1ii": _Rule(
-        2, lambda k: 2 * k + 2, 1, True, +1, Q(-1), lambda a, b: (a, b),
-        "largest", 3, "<",
+        2, lambda k: 2 * k + 2, 1, +1, Q(-1), lambda a, b: (a, b),
+        "largest", 3,
         lambda k, d, D, a, b: (a + b) * d - 16 * b * _base(k, d) / (3 * (d + 1)),
     ),
     "cor3.1iii": _Rule(
-        2, lambda k: 2 * k + 2, 1, True, -1, Q(-1), lambda a, b: (a, b),
-        "smallest", 3, ">",
+        2, lambda k: 2 * k + 2, 1, -1, Q(-1), lambda a, b: (a, b),
+        "smallest", 3,
         lambda k, d, D, a, b: (a + b) * d - 16 * b * _base(k, d) / (3 * (d + 1)),
     ),
     "cor3.2i": _Rule(
-        2, lambda k: 2 * k + 2, 1, False, 0, None, _fixed(0, 1), "largest", 3, "<",
+        2, lambda k: 2 * k + 2, 1, 0, None, _fixed(0, 1), "largest", 3,
         lambda k, d, D, a, b: d - 16 * _base(k, d) / (3 * (d + 1)),
     ),
     "cor3.2ii": _Rule(
-        2, lambda k: 2 * k + 2, 1, False, 0, None, _fixed(1, 1), "largest", 3, "<",
+        2, lambda k: 2 * k + 2, 1, 0, None, _fixed(1, 1), "largest", 3,
         lambda k, d, D, a, b: 2 * d - 16 * _base(k, d) / (3 * (d + 1)),
     ),
     "cor4.2i": _Rule(
-        2, lambda k: 3 * k + 3, 2, True, 0, Q(-1), lambda a, b: (a, Q(1)),
-        "largest", 4, "<",
+        2, lambda k: 3 * k + 3, 2, 0, Q(-1), lambda a, b: (a, Q(1)),
+        "largest", 4,
         lambda k, d, D, a, b: (a + 1) * d - 9 * _base(k, d) / (d + 1),
     ),
     "cor4.2ii": _Rule(
-        2, lambda k: 3 * k + 3, 2, True, +1, Q(-1), lambda a, b: (a, b),
-        "largest", 4, "<",
+        2, lambda k: 3 * k + 3, 2, +1, Q(-1), lambda a, b: (a, b),
+        "largest", 4,
         lambda k, d, D, a, b: (a + b) * d - 9 * b * _base(k, d) / (d + 1),
     ),
     "cor4.2iii": _Rule(
-        2, lambda k: 3 * k + 3, 2, True, -1, Q(-1), lambda a, b: (a, b),
-        "smallest", 4, ">",
+        2, lambda k: 3 * k + 3, 2, -1, Q(-1), lambda a, b: (a, b),
+        "smallest", 4,
         lambda k, d, D, a, b: (a + b) * d - 9 * b * _base(k, d) / (d + 1),
     ),
     "cor4.3i": _Rule(
-        2, lambda k: 3 * k + 3, 2, False, 0, None, _fixed(0, 1), "largest", 4, "<",
+        2, lambda k: 3 * k + 3, 2, 0, None, _fixed(0, 1), "largest", 4,
         lambda k, d, D, a, b: d - 9 * _base(k, d) / (d + 1),
     ),
     "cor4.3ii": _Rule(
-        2, lambda k: 3 * k + 3, 2, False, 0, None, _fixed(1, 1), "largest", 4, "<",
+        2, lambda k: 3 * k + 3, 2, 0, None, _fixed(1, 1), "largest", 4,
         lambda k, d, D, a, b: 2 * d - 9 * _base(k, d) / (d + 1),
     ),
     "cor5.2i": _Rule(
-        1, lambda k: 2 * k + 2, 0, True, 0, Q(0), lambda a, b: (a, Q(1)),
-        "largest", 2, "<",
+        1, lambda k: 2 * k + 2, 0, 0, Q(0), lambda a, b: (a, Q(1)),
+        "largest", 2,
         lambda k, d, D, a, b: (a + 1) * d - 2 * _base(k, d) / (d + 1),
     ),
     "cor5.2ii": _Rule(
-        1, lambda k: 2 * k + 2, 0, True, +1, Q(0), lambda a, b: (a, b),
-        "largest", 2, "<",
+        1, lambda k: 2 * k + 2, 0, +1, Q(0), lambda a, b: (a, b),
+        "largest", 2,
         lambda k, d, D, a, b: (a + b) * d - 2 * b * _base(k, d) / (d + 1),
     ),
     "cor5.2iii": _Rule(
-        1, lambda k: 2 * k + 2, 0, True, -1, Q(0), lambda a, b: (a, b),
-        "smallest", 2, ">",
+        1, lambda k: 2 * k + 2, 0, -1, Q(0), lambda a, b: (a, b),
+        "smallest", 2,
         lambda k, d, D, a, b: a * D + b * d - 2 * b * _base(k, d) / (d + 1),
     ),
     "cor5.3i": _Rule(
-        1, lambda k: 2 * k + 2, 0, False, 0, None, _fixed(1, 1), "largest", 2, "<",
+        1, lambda k: 2 * k + 2, 0, 0, None, _fixed(1, 1), "largest", 2,
         lambda k, d, D, a, b: 2 * d - 2 * _base(k, d) / (d + 1),
     ),
     "cor5.3ii": _Rule(
-        1, lambda k: 2 * k + 2, 0, False, 0, None, _fixed(1, -1), "smallest", 2, ">",
+        1, lambda k: 2 * k + 2, 0, 0, None, _fixed(1, -1), "smallest", 2,
         lambda k, d, D, a, b: D - d + 2 * _base(k, d) / (d + 1),
     ),
 }
@@ -214,38 +235,25 @@ def _to_fraction(value, name: str) -> Fraction:
 
 
 def _validate_params(rule: _Rule, req: CertificateRequest) -> tuple[Fraction | None, Fraction | None]:
-    if req.k < rule.k_min:
-        raise ToolError(
-            "PARAMETER_ERROR", f"{req.theorem_id} needs k >= {rule.k_min}, got {req.k}"
-        )
     if req.d is not None:
         raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} fixes d to the minimum degree")
-    if req.decision_tol <= 0:
-        raise ToolError("PARAMETER_ERROR", "decision_tol must be > 0")
-    a = b = None
-    if rule.takes_a:
-        if req.a is None:
-            raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} requires parameter a")
-        a = _to_fraction(req.a, "a")
-        if a < rule.a_min:
-            raise ToolError("PARAMETER_ERROR", f"need a >= {rule.a_min}, got a = {a}")
-    elif req.a is not None:
-        raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} does not take parameter a")
-    if rule.b_sign != 0:
-        if req.b is None:
-            raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} requires parameter b")
-        b = _to_fraction(req.b, "b")
-        if b == 0:
-            raise ToolError("PARAMETER_ERROR", "b must be nonzero")
-        if rule.b_sign > 0 and b < 0:
-            raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} needs b > 0, got {b}")
-        if rule.b_sign < 0 and b > 0:
-            raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} needs b < 0, got {b}")
-        if rule.a_min == Q(-1) and a / b < -1:
-            raise ToolError("PARAMETER_ERROR", f"need a/b >= -1, got {a}/{b}")
-    elif req.b is not None:
-        raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} does not take parameter b")
+    a = None if req.a is None else _to_fraction(req.a, "a")
+    b = None if req.b is None else _to_fraction(req.b, "b")
+    problem = rule.param_error(req.k, a, b)
+    if problem is not None:
+        raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} {problem}")
     return a, b
+
+
+def cross_verify_on(n: int, requested: bool | None = None) -> bool:
+    """Whether a graph of order n gets the ground-truth cross-check: by
+    default up to CROSS_DEFAULT_ON_MAX_N vertices; an explicit request
+    above CROSS_VERIFY_CAP is an error, not a silent skip."""
+    if requested is None:
+        return n <= CROSS_DEFAULT_ON_MAX_N
+    if requested and n > CROSS_VERIFY_CAP:
+        raise ToolError("TOO_LARGE", f"cross-verification is capped at n={CROSS_VERIFY_CAP}")
+    return requested
 
 
 def _cross_check(
@@ -256,8 +264,7 @@ def _cross_check(
     budget: int,
     precomputed: PkdSearchResult | None,
 ) -> CrossCheck | None:
-    enabled = req.cross_verify if req.cross_verify is not None else g.n <= CROSS_DEFAULT_ON_MAX_N
-    if not enabled or g.n > CROSS_VERIFY_CAP:
+    if not cross_verify_on(g.n, req.cross_verify):
         return None
     res = precomputed
     if res is None:
@@ -281,6 +288,7 @@ def certify(
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
+    check_tol(req.decision_tol, "decision_tol")
     if req.theorem_id == "thm1.1":
         return _certify_thm11(g, req, budget, cross_result)
     rule = _REGISTRY.get(req.theorem_id)
@@ -307,27 +315,16 @@ def certify(
 
     a_used, b_used = rule.matrix(a, b)
     profile = spectral_profile(g, a_used, b_used)
-    if rule.side == "largest":
-        measured = profile.kth_largest(rule.index)
-    else:
-        measured = profile.kth_smallest(rule.index)
     threshold = rule.threshold(req.k, delta, Delta, a, b)
     thr = float(threshold)
     tol = req.decision_tol
-    if rule.direction == ">":
-        if measured > thr + tol:
-            outcome = "CERTIFIED"
-        elif measured < thr - tol:
-            outcome = "CONDITION_FAILS"
-        else:
-            outcome = "MARGINAL"
+    if rule.side == "largest":
+        measured = profile.kth_largest(rule.index)
+        passes, fails = measured < thr - tol, measured > thr + tol
     else:
-        if measured < thr - tol:
-            outcome = "CERTIFIED"
-        elif measured > thr + tol:
-            outcome = "CONDITION_FAILS"
-        else:
-            outcome = "MARGINAL"
+        measured = profile.kth_smallest(rule.index)
+        passes, fails = measured > thr + tol, measured < thr - tol
+    outcome = "CERTIFIED" if passes else "CONDITION_FAILS" if fails else "MARGINAL"
     conclusion = f"P({req.k},{delta}) holds" if outcome == "CERTIFIED" else None
     cross = _cross_check(g, req, outcome, delta, budget, cross_result)
     return CertificateReport(
@@ -429,6 +426,7 @@ def check_cut_lower_bound(
         raise ToolError("PARAMETER_ERROR", f"unknown variant {variant!r}")
     if k < 1:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 1, got {k}")
+    check_tol(decision_tol, "decision_tol")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the check needs a connected graph")
     delta = g.min_degree

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .certify import CertificateRequest, certify
+from .certify import DEFAULT_DECISION_TOL, CertificateRequest, certify
 from .connectivity import gt_membership
 from .errors import ToolError
 from .graphs import Graph, parse_graph
@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--cross-verify", action="store_true")
-    p.add_argument("--decision-tol", type=float, default=1e-8)
+    p.add_argument("--decision-tol", type=float, default=DEFAULT_DECISION_TOL)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("experiment", help="run a seeded experiment config")

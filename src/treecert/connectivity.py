@@ -2,10 +2,10 @@
 graph classes that require t+1 disjoint minimum-cut sides plus a leftover
 vertex.
 
-Edge connectivity is computed by exhaustive side enumeration at desk scale
-(one code path serves both the value and the full side listing) and by a
-unit-capacity max-flow for larger graphs; the two routes are required to
-agree on small instances and the test suite enforces that.
+Edge connectivity is computed by a unit-capacity max-flow at every size.
+The full listing of minimum-cut sides comes from exhaustive side
+enumeration at desk scale; the test suite requires the two routes to
+agree on the connectivity value.
 """
 
 from __future__ import annotations
@@ -107,19 +107,14 @@ def _enumerate_cuts(g: Graph) -> tuple[int, tuple[VertexSet, ...]]:
 def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     """kappa'(G) together with a side attaining it.
 
-    Disconnected graphs have connectivity 0 (witness: a component). For
-    n <= ENUM_LIMIT the value comes from exhaustive side enumeration and
-    the witness is the canonically smallest minimizing side; beyond that a
-    max-flow computation is used.
+    Disconnected graphs have connectivity 0 (witness: a component);
+    connected ones get the value and the source side of a max-flow cut.
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     comps = components(g)
     if len(comps) > 1:
         return 0, min(comps, key=_canon_key)
-    if g.n <= ENUM_LIMIT:
-        kappa, sides = _enumerate_cuts(g)
-        return kappa, sides[0]
     return _min_cut_flow(g)
 
 

@@ -13,25 +13,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .certify import (
-    CROSS_DEFAULT_ON_MAX_N,
-    CROSS_VERIFY_CAP,
+    DEFAULT_DECISION_TOL,
     THEOREM_IDS,
     CertificateRequest,
     _REGISTRY,
     certify,
+    cross_verify_on,
 )
 from .connectivity import GtWitness
 from .errors import ToolError
 from .graphs import Edge, Graph, build_graph, is_connected
 from .packing import search_pkd_witness
 from .quotient import check_interlacing, quotient_laplacian
-from .spectra import spectral_profile
+from .spectra import check_tol, spectral_profile
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
@@ -210,22 +211,9 @@ class ExperimentConfig:
     d_grid: list = field(default_factory=list)
     a_grid: list = field(default_factory=list)
     b_grid: list = field(default_factory=list)
-    decision_tol: float = 1e-8
+    decision_tol: float = DEFAULT_DECISION_TOL
     packing_budget: int = 20000
     jobs: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "families": self.families,
-            "theorems": self.theorems,
-            "k_grid": self.k_grid,
-            "d_grid": self.d_grid,
-            "a_grid": self.a_grid,
-            "b_grid": self.b_grid,
-            "decision_tol": self.decision_tol,
-            "packing_budget": self.packing_budget,
-            "jobs": self.jobs,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -247,55 +235,37 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for tid in cfg.theorems:
         if tid not in THEOREM_IDS:
             raise ToolError("CONFIG_ERROR", f"unknown theorem id {tid!r}")
-    if cfg.theorems and not cfg.k_grid:
-        raise ToolError("CONFIG_ERROR", "k_grid must be non-empty")
-    if "thm1.1" in cfg.theorems and not cfg.d_grid:
-        raise ToolError("CONFIG_ERROR", "thm1.1 selected but d_grid is empty")
-    for tid in cfg.theorems:
-        rule = _REGISTRY.get(tid)
-        if rule is None:
-            continue
-        if rule.takes_a and not cfg.a_grid:
-            raise ToolError("CONFIG_ERROR", f"{tid} selected but a_grid is empty")
-        if rule.b_sign > 0 and not any(Fraction(str(x)) > 0 for x in cfg.b_grid):
-            raise ToolError("CONFIG_ERROR", f"{tid} needs a positive value in b_grid")
-        if rule.b_sign < 0 and not any(Fraction(str(x)) < 0 for x in cfg.b_grid):
-            raise ToolError("CONFIG_ERROR", f"{tid} needs a negative value in b_grid")
-    if cfg.decision_tol <= 0:
-        raise ToolError("CONFIG_ERROR", "decision_tol must be > 0")
+        if not _request_combos(cfg, tid):
+            raise ToolError("CONFIG_ERROR", f"{tid} selected but no grid point meets its rules")
+    check_tol(cfg.decision_tol, "decision_tol", "CONFIG_ERROR")
     if cfg.packing_budget < 1:
         raise ToolError("CONFIG_ERROR", "packing_budget must be >= 1")
 
 
-def _request_combos(cfg: ExperimentConfig, tid: str):
-    """All valid (k, d, a, b) requests for one condition id."""
-    combos = []
+def _exact(value) -> Fraction | None:
+    if value is None:
+        return None
+    try:
+        return Fraction(str(value))  # str() keeps decimal literals exact (0.1 -> 1/10)
+    except (ValueError, ZeroDivisionError):
+        raise ToolError("CONFIG_ERROR", f"grid value is not a rational number: {value!r}")
+
+
+def _request_combos(cfg: ExperimentConfig, tid: str) -> list:
+    """The (k, d, a, b) grid points the condition's rule accepts, with the
+    raw grid values."""
     if tid == "thm1.1":
-        for k in cfg.k_grid:
-            for d in cfg.d_grid:
-                combos.append((k, d, None, None))
-        return combos
+        return [(k, d, None, None) for k in cfg.k_grid for d in cfg.d_grid]
     rule = _REGISTRY[tid]
-    for k in cfg.k_grid:
-        if k < rule.k_min:
-            continue
-        if not rule.takes_a:
-            combos.append((k, None, None, None))
-        elif rule.b_sign == 0:
-            for a in cfg.a_grid:
-                combos.append((k, None, a, None))
-        else:
-            for a in cfg.a_grid:
-                for b in cfg.b_grid:
-                    bq = Fraction(str(b))
-                    if rule.b_sign > 0 and bq <= 0:
-                        continue
-                    if rule.b_sign < 0 and bq >= 0:
-                        continue
-                    if rule.a_min == Fraction(-1) and Fraction(str(a)) / bq < -1:
-                        continue
-                    combos.append((k, None, a, b))
-    return combos
+    a_values = [None] if rule.a_min is None else cfg.a_grid
+    b_values = cfg.b_grid if rule.b_sign else [None]
+    return [
+        (k, None, a, b)
+        for k in cfg.k_grid
+        for a in a_values
+        for b in b_values
+        if rule.param_error(k, _exact(a), _exact(b)) is None
+    ]
 
 
 def _trial_graph(entry: dict, trial_seed: int):
@@ -360,15 +330,12 @@ def _run_trial(args) -> dict:
             search_cache[key] = search_pkd_witness(g, k, d, budget=cfg.packing_budget)
         return search_cache[key]
 
-    cross_on = g.n <= min(CROSS_DEFAULT_ON_MAX_N, CROSS_VERIFY_CAP)
+    cross_on = cross_verify_on(g.n)
     certs = []
     for tid in cfg.theorems:
         for k, d, a, b in _request_combos(cfg, tid):
-            # str() keeps decimal config literals exact (0.1 -> 1/10)
             req = CertificateRequest(
-                theorem_id=tid, k=k, d=d,
-                a=None if a is None else Fraction(str(a)),
-                b=None if b is None else Fraction(str(b)),
+                theorem_id=tid, k=k, d=d, a=_exact(a), b=_exact(b),
                 decision_tol=cfg.decision_tol,
             )
             digest: dict = {"theorem_id": tid, "k": k, "d": d, "a": a, "b": b}
@@ -401,6 +368,12 @@ def _run_trial(args) -> dict:
     return row
 
 
+_AGG_COLS = (
+    "evaluated", "hypothesis_failed", "condition_fails", "marginal", "certified",
+    "cross_found", "cross_refuted", "cross_inconclusive", "counterexamples",
+)
+
+
 @dataclass
 class ExperimentReport:
     rows: list
@@ -412,33 +385,12 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def aggregates_csv(self) -> str:
-        cols = [
-            "theorem_id", "evaluated", "hypothesis_failed", "condition_fails",
-            "marginal", "certified", "cross_found", "cross_refuted",
-            "cross_inconclusive", "counterexamples",
-        ]
-        out = [",".join(cols)]
         per = self.summary["per_theorem"]
+        out = [",".join(("theorem_id",) + _AGG_COLS)]
         for tid in sorted(per):
-            row = per[tid]
-            out.append(",".join([tid] + [str(row[c]) for c in cols[1:]]))
-        total = self.summary
-        out.append(
-            ",".join(
-                [
-                    "TOTAL",
-                    str(sum(per[t]["evaluated"] for t in per)),
-                    str(sum(per[t]["hypothesis_failed"] for t in per)),
-                    str(sum(per[t]["condition_fails"] for t in per)),
-                    str(sum(per[t]["marginal"] for t in per)),
-                    str(sum(per[t]["certified"] for t in per)),
-                    str(sum(per[t]["cross_found"] for t in per)),
-                    str(sum(per[t]["cross_refuted"] for t in per)),
-                    str(sum(per[t]["cross_inconclusive"] for t in per)),
-                    str(total["counterexamples"]),
-                ]
-            )
-        )
+            out.append(",".join([tid] + [str(per[tid][c]) for c in _AGG_COLS]))
+        totals = [sum(row[c] for row in per.values()) for c in _AGG_COLS]
+        out.append(",".join(["TOTAL"] + [str(t) for t in totals]))
         return "\n".join(out) + "\n"
 
 
@@ -447,14 +399,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     config at any worker count (results merge by trial index)."""
     _validate_config(cfg)
     width = jobs if jobs is not None else cfg.jobs
-    cfg_data = cfg.to_dict()
+    if width < 1:
+        raise ToolError("CONFIG_ERROR", f"jobs must be >= 1, got {width}")
+    cfg_data = asdict(cfg)
     tasks = []
     index = 0
     for entry in cfg.families:
         for local in range(entry.get("trials", 1)):
             tasks.append((cfg_data, entry, index, local))
             index += 1
-    if width > 1 and len(tasks) > 1:
+    width = min(width, len(tasks), os.cpu_count() or 1)
+    if width > 1:
         with ProcessPoolExecutor(max_workers=width) as pool:
             rows = list(pool.map(_run_trial, tasks, chunksize=32))
     else:
@@ -479,38 +434,20 @@ def _summarize(cfg: ExperimentConfig, rows: list) -> dict:
             inter_pass += bool(row["interlacing_pass"])
         for cert in row.get("certificates", ()):
             tid = cert["theorem_id"]
-            agg = per.setdefault(
-                tid,
-                {
-                    "evaluated": 0, "hypothesis_failed": 0, "condition_fails": 0,
-                    "marginal": 0, "certified": 0, "cross_found": 0,
-                    "cross_refuted": 0, "cross_inconclusive": 0,
-                    "counterexamples": 0, "errors": 0,
-                },
-            )
+            agg = per.setdefault(tid, dict.fromkeys(_AGG_COLS + ("errors",), 0))
             if "error" in cert:
                 agg["errors"] += 1
                 continue
             agg["evaluated"] += 1
             outcome = cert["outcome"]
-            key = {
-                "HYPOTHESIS_FAILED": "hypothesis_failed",
-                "CONDITION_FAILS": "condition_fails",
-                "MARGINAL": "marginal",
-                "CERTIFIED": "certified",
-            }[outcome]
-            agg[key] += 1
+            agg[outcome.lower()] += 1
             status = cert.get("cross_status")
-            if status == "FOUND":
-                agg["cross_found"] += 1
-            elif status == "REFUTED":
-                agg["cross_refuted"] += 1
-            elif status == "INCONCLUSIVE":
-                agg["cross_inconclusive"] += 1
+            if status is not None:
+                agg["cross_" + status.lower()] += 1
             if outcome == "CERTIFIED" and status == "REFUTED":
                 agg["counterexamples"] += 1
                 counterexamples += 1
-    digest_source = {k: v for k, v in cfg.to_dict().items() if k != "jobs"}
+    digest_source = {k: v for k, v in asdict(cfg).items() if k != "jobs"}
     config_digest = hashlib.sha256(
         json.dumps(digest_source, sort_keys=True).encode()
     ).hexdigest()
@@ -523,50 +460,3 @@ def _summarize(cfg: ExperimentConfig, rows: list) -> dict:
         "per_theorem": per,
         "config_digest": config_digest,
     }
-
-
-def default_config() -> ExperimentConfig:
-    """The shipped soundness corpus: > 2000 trials, all spectral condition
-    ids, cross-verification on (n <= 10 everywhere)."""
-    families: list = []
-    for n in range(5, 11):
-        families.append({"family": "complete", "params": {"n": n}, "seed": 0, "trials": 1})
-    for n in range(5, 11):
-        families.append({"family": "cycle", "params": {"n": n}, "seed": 0, "trials": 1})
-    for n in range(6, 10):
-        families.append({"family": "path", "params": {"n": n}, "seed": 0, "trials": 1})
-    gnp_cases = [
-        (6, 0.5, 101), (7, 0.5, 102), (8, 0.4, 103), (8, 0.6, 104),
-        (9, 0.5, 105), (10, 0.4, 106), (10, 0.6, 107),
-    ]
-    for n, prob, seed in gnp_cases:
-        families.append(
-            {"family": "gnp", "params": {"n": n, "p": prob}, "seed": seed, "trials": 270}
-        )
-    families.append(
-        {"family": "random_regular", "params": {"n": 8, "r": 4}, "seed": 11, "trials": 60}
-    )
-    families.append(
-        {"family": "random_regular", "params": {"n": 10, "r": 6}, "seed": 12, "trials": 60}
-    )
-    families.append(
-        {"family": "clique_chain", "params": {"blocks": 3, "q": 2, "links": 1}, "seed": 0, "trials": 1}
-    )
-    families.append(
-        {"family": "clique_chain", "params": {"blocks": 3, "q": 3, "links": 1}, "seed": 0, "trials": 1}
-    )
-    families.append(
-        {"family": "clique_star", "params": {"pendants": 3, "q": 2, "links": 1}, "seed": 0, "trials": 1}
-    )
-    theorems = [tid for tid in THEOREM_IDS if tid != "thm1.1"]
-    return ExperimentConfig(
-        families=families,
-        theorems=theorems,
-        k_grid=[2],
-        d_grid=[],
-        a_grid=[1],
-        b_grid=[2, -2],
-        decision_tol=1e-8,
-        packing_budget=20000,
-        jobs=1,
-    )

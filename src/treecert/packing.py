@@ -16,7 +16,7 @@ decides a combinatorial branch.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -239,40 +239,37 @@ def tau_packing(g: Graph) -> int:
 # forest helpers
 
 
-def _components_from_edges(n: int, edges) -> list[VertexSet]:
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]  # path halving
+        x = parent[x]
+    return x
+
+
+def _union_edges(n: int, edges) -> tuple[list[int], list[Edge]]:
+    """One union-find pass over the edges in the given order: the final
+    parent array and the edges that joined two components, which form a
+    maximal forest of the edge set."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
+    joined = []
+    for e in edges:
+        ru, rv = _find(parent, e[0]), _find(parent, e[1])
         if ru != rv:
             parent[ru] = rv
+            joined.append(e)
+    return parent, joined
+
+
+def _components_from_edges(n: int, edges) -> list[VertexSet]:
+    parent, _ = _union_edges(n, edges)
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return [frozenset(vs) for vs in groups.values()]
 
 
 def _is_forest(edges, n: int) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return len(_union_edges(n, edges)[1]) == len(edges)
 
 
 def _is_spanning_tree(edges, n: int) -> bool:
@@ -281,21 +278,7 @@ def _is_spanning_tree(edges, n: int) -> bool:
 
 def spanning_forest(n: int, edges) -> frozenset[Edge]:
     """A maximal forest of the given edge set (greedy over sorted edges)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for u, v in sorted(edges):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append((u, v))
-    return frozenset(chosen)
+    return frozenset(_union_edges(n, sorted(edges))[1])
 
 
 def remainder_feasible(n: int, remainder_edges, d: int) -> bool:
@@ -307,32 +290,13 @@ def remainder_feasible(n: int, remainder_edges, d: int) -> bool:
     the forest has n - c edges and its largest component matches the
     largest remainder component.
     """
-    comps = _components_from_edges(n, remainder_edges)
-    c = len(comps)
+    parent, forest = _union_edges(n, remainder_edges)
+    c = n - len(forest)
     if c == 1:
         return True
     if d * (n - c) <= (d - 1) * (n - 1):
         return False
-    return max(len(comp) for comp in comps) >= d + 1
-
-
-def forest_meets_conditions(n: int, forest_edges, d: int) -> bool:
-    """Direct check of the two forest requirements for an explicit forest
-    (used by the enumeration oracle in the tests)."""
-    size = len(forest_edges)
-    if d * size <= (d - 1) * (n - 1):
-        return False
-    if _is_spanning_tree(forest_edges, n):
-        return True
-    comps = _components_from_edges(n, forest_edges)
-    lookup = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            lookup[v] = ci
-    per_comp = [0] * len(comps)
-    for u, _v in forest_edges:
-        per_comp[lookup[u]] += 1
-    return any(cnt >= d for cnt in per_comp)
+    return max(Counter(_find(parent, v) for v in range(n)).values()) >= d + 1
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +378,6 @@ class _TreeDSU:
         self.parent[ru] = ru
 
 
-def _edges_span(n: int, edges) -> bool:
-    return len(_components_from_edges(n, edges)) == 1
-
-
 def search_pkd_witness(
     g: Graph, k: int, d: int, budget: int = DEFAULT_BUDGET
 ) -> PkdSearchResult:
@@ -472,7 +432,7 @@ def search_pkd_witness(
                 raise _Found(_build_witness(g, edges, tree_edges, remainder, k, d))
             return
         unused = [edges[j] for j in range(m) if not used[j]]
-        if not _edges_span(n, unused):
+        if len(_union_edges(n, unused)[1]) < need:  # the unused edges do not span
             return
         dsus[ti] = _TreeDSU(n)
         grow(ti, min_first, 0)

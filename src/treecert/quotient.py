@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ToolError
 from .graphs import Graph, VertexSet, validate_partition
-from .spectra import DEFAULT_TOL, SymmetricMatrix, matrix_from_rows, sym_eigenvalues
+from .spectra import DEFAULT_TOL, SymmetricMatrix, mat_add, matrix_from_rows, sym_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,10 @@ def check_weyl(
     whenever i+j-1 <= n ("upper"), and lambda_i(a) + lambda_j(b) <=
     lambda_{i+j-n}(s) whenever i+j-n >= 1 ("lower").
     """
-    if a.order != b.order:
-        raise ToolError("SHAPE_ERROR", f"orders {a.order} and {b.order} differ")
-    n = a.order
-    rows = [
-        [a.rows[i][j] + b.rows[i][j] for j in range(n)] for i in range(n)
-    ]
+    es = sym_eigenvalues(mat_add(a, b))
     ea = sym_eigenvalues(a)
     eb = sym_eigenvalues(b)
-    es = sym_eigenvalues(matrix_from_rows(rows))
+    n = a.order
     bad = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):

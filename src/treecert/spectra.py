@@ -76,6 +76,15 @@ def build_matrix(g: Graph, a: float, b: float) -> SymmetricMatrix:
     return matrix_from_rows(rows)
 
 
+def check_tol(tol: float, name: str = "tol", code: str = "PARAMETER_ERROR") -> None:
+    """Reject a tolerance that is not finite and positive: with inf the
+    Jacobi iteration stops before its first rotation, with NaN it never
+    converges, and as a decision tolerance either one makes every outcome
+    MARGINAL."""
+    if not 0 < tol < math.inf:  # false for NaN too
+        raise ToolError(code, f"{name} must be finite and > 0, got {tol}")
+
+
 def sym_eigenvalues(m: SymmetricMatrix, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """All eigenvalues of a symmetric matrix, sorted non-increasing.
 
@@ -83,8 +92,7 @@ def sym_eigenvalues(m: SymmetricMatrix, tol: float = DEFAULT_TOL) -> tuple[float
     drops below tol times the Frobenius norm of the input. Raises
     NO_CONVERGENCE if that has not happened after MAX_SWEEPS sweeps.
     """
-    if tol <= 0:
-        raise ToolError("PARAMETER_ERROR", f"tol must be > 0, got {tol}")
+    check_tol(tol)
     n = m.order
     a = [list(r) for r in m.rows]
     frob = m.frobenius_norm()

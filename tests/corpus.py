@@ -6,13 +6,22 @@ frozen into the tests.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import assume
 from hypothesis.strategies import composite, integers
 
-from treecert import FamilySpec, Graph, build_graph, generate, is_connected
+from treecert import ExperimentConfig, FamilySpec, Graph, build_graph, generate, is_connected
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
+
+
+def shipped_config() -> ExperimentConfig:
+    """The shipped soundness corpus, loaded the way the CLI loads it."""
+    return ExperimentConfig.from_dict(json.loads(SHIPPED_CONFIG.read_text()))
 
 
 @composite

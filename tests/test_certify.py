@@ -111,6 +111,11 @@ def test_cross_verify_defaults():
         complete(11), CertificateRequest("thm5.1", k=2, cross_verify=True)
     )
     assert forced.cross_check is not None and forced.cross_check.consistent
+    # above the cap an explicit request fails; the default stays off
+    assert certify(complete(13), CertificateRequest("thm5.1", k=2)).cross_check is None
+    with pytest.raises(ToolError) as err:
+        certify(complete(13), CertificateRequest("thm5.1", k=2, cross_verify=True))
+    assert err.value.code == "TOO_LARGE"
 
 
 def test_certify_disconnected():
@@ -141,6 +146,11 @@ def test_certify_disconnected():
         CertificateRequest("nope", k=1),
         CertificateRequest("thm5.1", k=0),
         CertificateRequest("thm5.1", k=1, decision_tol=0.0),
+        CertificateRequest("thm5.1", k=2, decision_tol=float("nan")),  # was MARGINAL
+        CertificateRequest("thm5.1", k=2, decision_tol=float("inf")),
+        CertificateRequest("thm1.1", k=1, d=2, decision_tol=float("nan")),
+        CertificateRequest("cor5.2ii", k=1, a=1),  # b missing
+        CertificateRequest("cor5.3i", k=1, b=1),  # no b parameter
     ],
 )
 def test_parameter_errors(req):

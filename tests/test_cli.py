@@ -162,6 +162,36 @@ def test_parameter_error_exit_2(capsys, graph_file):
     assert "PARAMETER_ERROR" in err
 
 
+def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
+    k7 = "7 21\n" + "\n".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
+    k13 = "13 78\n" + "\n".join(f"{u} {v}" for u in range(13) for v in range(u + 1, 13))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "families": [{"family": "complete", "params": {"n": 6}}],
+        "theorems": ["thm5.1"],
+        "k_grid": [1],
+    }))
+    cases = [
+        (["spectrum", "--input", graph_file(K4), "--tol", "inf"], "PARAMETER_ERROR"),
+        (["spectrum", "--input", graph_file(K4), "--tol", "nan"], "PARAMETER_ERROR"),
+        (
+            ["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
+             "--decision-tol", "nan"],
+            "PARAMETER_ERROR",
+        ),
+        (
+            ["certify", "--input", graph_file(k13), "--theorem", "thm5.1", "--k", "2",
+             "--cross-verify"],
+            "TOO_LARGE",
+        ),
+        (["experiment", "--config", str(cfg_path), "--jobs", "0"], "CONFIG_ERROR"),
+    ]
+    for argv, code_name in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert code_name in err, argv
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, ["nu-f", "--input", "/nonexistent/g.txt"])
     assert code == 2

@@ -12,7 +12,7 @@ from treecert import (
     min_cut_sides,
     validate_gt_witness,
 )
-from treecert.connectivity import _min_cut_flow
+from treecert.connectivity import _enumerate_cuts, _min_cut_flow
 from treecert.graphs import boundary_size
 
 from corpus import complete, cycle, path, random_connected_graph, random_graph, star
@@ -54,10 +54,12 @@ def test_flow_route_agrees_with_enumeration():
     rng = random.Random(77)
     for _ in range(120):
         g = random_connected_graph(rng, 2, 12)
-        kappa, _ = edge_connectivity(g)
+        kappa, sides = _enumerate_cuts(g)
         flow_kappa, flow_side = _min_cut_flow(g)
         assert flow_kappa == kappa
         assert boundary_size(g, flow_side) == kappa
+        assert flow_side in sides
+        assert edge_connectivity(g) == (flow_kappa, flow_side)
 
 
 def test_min_cut_sides_counts():

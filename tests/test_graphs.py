@@ -147,3 +147,12 @@ def test_parse_graph_autodetect():
 def test_star_shape():
     g = star(3)
     assert g.min_degree == 1 and g.max_degree == 3 and g.m == 3
+
+
+def test_package_exports_no_modules():
+    import types
+
+    import treecert
+
+    assert treecert.__all__
+    assert not [n for n in treecert.__all__ if isinstance(getattr(treecert, n), types.ModuleType)]

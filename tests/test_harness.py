@@ -1,22 +1,19 @@
-import json
-from pathlib import Path
-
 import pytest
 
 from treecert import (
     ExperimentConfig,
     FamilySpec,
     ToolError,
-    default_config,
     edge_connectivity,
     generate,
     gt_membership,
+    harness,
     lemma41_gadget_fixture,
     run_experiment,
     validate_gt_witness,
 )
 
-from corpus import complete
+from corpus import complete, shipped_config
 
 
 def test_generate_complete():
@@ -210,12 +207,69 @@ def test_config_validation():
         run_experiment(_tiny_config(theorems=["cor3.1iii"], b_grid=[2]))
     with pytest.raises(ToolError):
         ExperimentConfig.from_dict({"families": [], "theorems": [], "k_grid": [], "bogus": 1})
+    for bad in [
+        dict(decision_tol=float("nan")),
+        dict(decision_tol=float("inf")),
+        dict(theorems=["cor5.2i"], a_grid=[-1]),  # every a below a_min = 0
+        dict(theorems=["cor3.1ii"], a_grid=[-1], b_grid=[0.5]),  # a/b < -1
+        dict(theorems=["cor3.1ii"], b_grid=["two"]),
+        dict(jobs=0),
+    ]:
+        with pytest.raises(ToolError) as err:
+            run_experiment(_tiny_config(**bad))
+        assert err.value.code == "CONFIG_ERROR", bad
+    with pytest.raises(ToolError) as err:
+        run_experiment(_tiny_config(), jobs=0)
+    assert err.value.code == "CONFIG_ERROR"
+
+
+def test_grid_points_outside_a_rule_are_skipped():
+    cfg = _tiny_config(
+        families=[{"family": "complete", "params": {"n": 7}, "seed": 0, "trials": 1}],
+        theorems=["cor3.1i", "cor3.1ii", "cor5.2i"],
+        a_grid=[-2, 1],
+    )
+    certs = run_experiment(cfg).rows[0]["certificates"]
+    assert [(c["theorem_id"], c["a"], c["b"]) for c in certs] == [
+        ("cor3.1i", 1, None),
+        ("cor3.1ii", 1, 2),
+        ("cor5.2i", 1, None),
+    ]
+    assert not any("error" in c for c in certs)
+
+
+def test_jobs_width_is_clamped(monkeypatch):
+    widths = []
+
+    class SerialPool:
+        """Records the requested width and maps in-process."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    cfg = _tiny_config(
+        families=[{"family": "cycle", "params": {"n": 5}, "seed": 0, "trials": 3}],
+        theorems=["thm5.1"],
+        k_grid=[1],
+    )
+    serial = run_experiment(cfg, jobs=1).to_jsonl()
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    assert run_experiment(cfg, jobs=64).to_jsonl() == serial  # clamped to 3 tasks
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_experiment(cfg, jobs=64).to_jsonl() == serial  # clamped to 2 cores
+    assert widths == [3, 2]
 
 
 def test_default_config_matches_shipped_file():
-    shipped = json.loads(
-        (Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json").read_text()
-    )
-    assert shipped == default_config().to_dict()
-    total = sum(e.get("trials", 1) for e in shipped["families"])
-    assert total >= 2000
+    cfg = shipped_config()
+    assert sum(e.get("trials", 1) for e in cfg.families) >= 2000

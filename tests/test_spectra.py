@@ -86,9 +86,11 @@ def test_profile_index_bounds():
 
 
 def test_tol_must_be_positive():
-    with pytest.raises(ToolError) as err:
-        sym_eigenvalues(build_matrix(complete(3), 1, -1), tol=0.0)
-    assert err.value.code == "PARAMETER_ERROR"
+    # inf used to return the unrotated diagonal, NaN to run out of sweeps
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ToolError) as err:
+            sym_eigenvalues(build_matrix(complete(3), 1, -1), tol=tol)
+        assert err.value.code == "PARAMETER_ERROR"
 
 
 def test_trace_identity_random_graphs():
