@@ -66,6 +66,7 @@ from .spectra import (
     SpectralProfile,
     SymmetricMatrix,
     build_matrix,
+    inertia,
     spectral_profile,
     sym_eigenvalues,
 )

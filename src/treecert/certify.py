@@ -10,10 +10,10 @@ first. The side of the spectrum fixes the inequality direction: a
 smallest-side eigenvalue must exceed its threshold, a largest-side one
 must stay below it.
 
-Decision semantics: strict float inequalities are decided inside a
-decision-tolerance band (within the band is MARGINAL, never CERTIFIED);
-comparisons between exact rationals are decided exactly and have no
-marginal zone.
+Decision semantics: every condition is a strict inequality against an
+exact rational threshold and is decided exactly; eigenvalues are counted
+against it by Sylvester's law of inertia (`spectra.inertia`), so one equal
+to its threshold fails. The float eigenvalue is only reported.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .packing import (
     nu_f_exact,
     search_pkd_witness,
 )
-from .spectra import check_tol, spectral_profile
+from .spectra import inertia, spectral_profile
 
-DEFAULT_DECISION_TOL = 1e-8
 CROSS_DEFAULT_ON_MAX_N = 10
 CROSS_VERIFY_CAP = 12
 LEMMA_ENUM_CAP = 16
@@ -178,7 +177,6 @@ class CertificateRequest:
     d: int | None = None  # free parameter for thm1.1 only; elsewhere d = delta
     a: object = None  # int | float | str | Fraction
     b: object = None
-    decision_tol: float = DEFAULT_DECISION_TOL
     cross_verify: bool | None = None  # None: on for n <= 10
 
 
@@ -283,76 +281,52 @@ def certify(
 
     Returns a report with the hypothesis checks, the measured quantity,
     the exact threshold and one of HYPOTHESIS_FAILED / CONDITION_FAILS /
-    MARGINAL / CERTIFIED. `cross_result` lets batch runners share one
+    CERTIFIED. `cross_result` lets batch runners share one
     ground-truth search across many conditions with the same (k, d).
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
-    check_tol(req.decision_tol, "decision_tol")
-    if req.theorem_id == "thm1.1":
-        return _certify_thm11(g, req, budget, cross_result)
-    rule = _REGISTRY.get(req.theorem_id)
-    if rule is None:
-        raise ToolError("PARAMETER_ERROR", f"unknown theorem id {req.theorem_id!r}")
-    a, b = _validate_params(rule, req)
-    delta, Delta = g.min_degree, g.max_degree
-    checks: dict = {"parameter_constraints": True}
-    checks["min_degree"] = delta >= rule.min_delta(req.k)
-    if rule.gt_class == 0:
-        checks["class_membership"] = True
-    elif checks["min_degree"]:
-        checks["class_membership"] = g.n >= rule.gt_class + 2 and _is_member(g, rule.gt_class)
-    else:
-        checks["class_membership"] = None  # not evaluated
-
-    if any(v is False for v in checks.values()):
-        cross = _cross_check(g, req, "HYPOTHESIS_FAILED", delta, budget, cross_result)
-        return CertificateReport(
-            theorem_id=req.theorem_id, k=req.k, d=delta, a=a, b=b,
-            hypothesis_checks=checks, outcome="HYPOTHESIS_FAILED",
-            cross_check=cross,
-        )
-
-    a_used, b_used = rule.matrix(a, b)
-    profile = spectral_profile(g, a_used, b_used)
-    threshold = rule.threshold(req.k, delta, Delta, a, b)
-    thr = float(threshold)
-    tol = req.decision_tol
-    if rule.side == "largest":
-        measured = profile.kth_largest(rule.index)
-        passes, fails = measured < thr - tol, measured > thr + tol
-    else:
-        measured = profile.kth_smallest(rule.index)
-        passes, fails = measured > thr + tol, measured < thr - tol
-    outcome = "CERTIFIED" if passes else "CONDITION_FAILS" if fails else "MARGINAL"
-    conclusion = f"P({req.k},{delta}) holds" if outcome == "CERTIFIED" else None
-    cross = _cross_check(g, req, outcome, delta, budget, cross_result)
-    return CertificateReport(
-        theorem_id=req.theorem_id, k=req.k, d=delta, a=a, b=b,
-        hypothesis_checks=checks, measured=measured, threshold=threshold,
-        outcome=outcome, conclusion=conclusion, cross_check=cross,
-    )
-
-
-def _certify_thm11(
-    g: Graph, req: CertificateRequest, budget: int, cross_result
-) -> CertificateReport:
-    if req.k < 1:
-        raise ToolError("PARAMETER_ERROR", "thm1.1 needs k >= 1")
-    if req.d is None or req.d < 1:
-        raise ToolError("PARAMETER_ERROR", "thm1.1 needs d >= 1")
-    if req.a is not None or req.b is not None:
-        raise ToolError("PARAMETER_ERROR", "thm1.1 does not take matrix parameters")
     checks = {"parameter_constraints": True, "min_degree": True, "class_membership": True}
-    value = nu_f_exact(g).value
-    threshold = req.k + Q(req.d - 1, req.d)
-    # both sides exact rationals: decided exactly, no marginal band
-    outcome = "CERTIFIED" if value > threshold else "CONDITION_FAILS"
-    conclusion = f"P({req.k},{req.d}) holds" if outcome == "CERTIFIED" else None
-    cross = _cross_check(g, req, outcome, req.d, budget, cross_result)
+    if req.theorem_id == "thm1.1":
+        if req.k < 1:
+            raise ToolError("PARAMETER_ERROR", "thm1.1 needs k >= 1")
+        if req.d is None or req.d < 1:
+            raise ToolError("PARAMETER_ERROR", "thm1.1 needs d >= 1")
+        if req.a is not None or req.b is not None:
+            raise ToolError("PARAMETER_ERROR", "thm1.1 does not take matrix parameters")
+        d, a, b = req.d, None, None
+        value = nu_f_exact(g).value
+        threshold = req.k + Q(d - 1, d)
+        measured, passes = float(value), value > threshold
+    else:
+        rule = _REGISTRY.get(req.theorem_id)
+        if rule is None:
+            raise ToolError("PARAMETER_ERROR", f"unknown theorem id {req.theorem_id!r}")
+        a, b = _validate_params(rule, req)
+        d = g.min_degree
+        checks["min_degree"] = d >= rule.min_delta(req.k)
+        if rule.gt_class:
+            checks["class_membership"] = (
+                g.n >= rule.gt_class + 2 and _is_member(g, rule.gt_class)
+            ) if checks["min_degree"] else None  # None: not evaluated
+        measured = threshold = passes = None
+        if all(v is not False for v in checks.values()):
+            a_used, b_used = rule.matrix(a, b)
+            profile = spectral_profile(g, a_used, b_used)
+            threshold = rule.threshold(req.k, d, g.max_degree, a, b)
+            above, at, below = inertia(g, a_used, b_used, threshold)
+            # i-th largest < theta iff fewer than i eigenvalues are >= theta; mirrored
+            if rule.side == "largest":
+                measured, ahead = profile.kth_largest(rule.index), above
+            else:
+                measured, ahead = profile.kth_smallest(rule.index), below
+            passes = ahead + at < rule.index
+    outcome = "HYPOTHESIS_FAILED" if passes is None else "CERTIFIED" if passes else "CONDITION_FAILS"
+    conclusion = f"P({req.k},{d}) holds" if passes else None
+    cross = _cross_check(g, req, outcome, d, budget, cross_result)
     return CertificateReport(
-        theorem_id="thm1.1", k=req.k, d=req.d, a=None, b=None,
-        hypothesis_checks=checks, measured=float(value), threshold=threshold,
+        theorem_id=req.theorem_id, k=req.k, d=d, a=a, b=b,
+        hypothesis_checks=checks, measured=measured, threshold=threshold,
         outcome=outcome, conclusion=conclusion, cross_check=cross,
     )
 
@@ -401,7 +375,6 @@ def _bits(mask: int):
 @dataclass(frozen=True)
 class CutLowerBoundCheck:
     status: str  # NOT_APPLICABLE | VACUOUS | NO_VIOLATION | VIOLATIONS
-    marginal: bool
     measured: float | None
     threshold: Fraction | None
     violations: tuple
@@ -411,7 +384,6 @@ def check_cut_lower_bound(
     g: Graph,
     k: int,
     variant: str,
-    decision_tol: float = DEFAULT_DECISION_TOL,
     cap: int = LEMMA_ENUM_CAP,
 ) -> CutLowerBoundCheck:
     """Empirical check that, under the eigenvalue hypothesis, every
@@ -419,14 +391,13 @@ def check_cut_lower_bound(
 
     Component sides of edge cuts are exactly the connected induced
     subsets, so those are what gets enumerated. Degree or class failures
-    give NOT_APPLICABLE; a failed (or marginal, flagged) eigenvalue
-    hypothesis gives VACUOUS.
+    give NOT_APPLICABLE; a failed eigenvalue hypothesis (decided exactly,
+    like `certify`) gives VACUOUS.
     """
     if variant not in ("lemma2.4", "lemma2.5"):
         raise ToolError("PARAMETER_ERROR", f"unknown variant {variant!r}")
     if k < 1:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 1, got {k}")
-    check_tol(decision_tol, "decision_tol")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the check needs a connected graph")
     delta = g.min_degree
@@ -439,12 +410,11 @@ def check_cut_lower_bound(
         t_class, small_idx = 2, 4
         threshold = Q(6 * k, delta + 1)
     if not degree_ok or g.n < t_class + 2 or not _is_member(g, t_class):
-        return CutLowerBoundCheck("NOT_APPLICABLE", False, None, None, ())
+        return CutLowerBoundCheck("NOT_APPLICABLE", None, None, ())
     measured = spectral_profile(g, 1, -1).kth_smallest(small_idx)
-    thr = float(threshold)
-    if measured <= thr + decision_tol:
-        marginal = measured >= thr - decision_tol
-        return CutLowerBoundCheck("VACUOUS", marginal, measured, threshold, ())
+    _, at, below = inertia(g, 1, -1, threshold)
+    if below + at >= small_idx:
+        return CutLowerBoundCheck("VACUOUS", measured, threshold, ())
     # the cap only guards the exhaustive phase; the short-circuit outcomes
     # above stay available on larger graphs
     if g.n > cap:
@@ -458,7 +428,7 @@ def check_cut_lower_bound(
         if cut < k + 1:
             violations.append((tuple(_bits(mask)), cut))
     status = "VIOLATIONS" if violations else "NO_VIOLATION"
-    return CutLowerBoundCheck(status, False, measured, threshold, tuple(violations))
+    return CutLowerBoundCheck(status, measured, threshold, tuple(violations))
 
 
 def _induces_connected(g: Graph, mask: int) -> bool:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .certify import DEFAULT_DECISION_TOL, CertificateRequest, certify
+from .certify import CertificateRequest, certify
 from .connectivity import gt_membership
 from .errors import ToolError
 from .graphs import Graph, parse_graph
@@ -136,7 +136,6 @@ def _cmd_certify(args) -> int:
         d=args.d,
         a=None if args.a is None else _rat(args.a, "a"),
         b=None if args.b is None else _rat(args.b, "b"),
-        decision_tol=args.decision_tol,
         cross_verify=True if args.cross_verify else None,
     )
     report = certify(g, req)
@@ -204,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--cross-verify", action="store_true")
-    p.add_argument("--decision-tol", type=float, default=DEFAULT_DECISION_TOL)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("experiment", help="run a seeded experiment config")

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .certify import (
-    DEFAULT_DECISION_TOL,
     THEOREM_IDS,
     CertificateRequest,
     _REGISTRY,
@@ -32,7 +31,7 @@ from .errors import ToolError
 from .graphs import Edge, Graph, build_graph, is_connected
 from .packing import search_pkd_witness
 from .quotient import check_interlacing, quotient_laplacian
-from .spectra import check_tol, spectral_profile
+from .spectra import spectral_profile
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
@@ -211,7 +210,6 @@ class ExperimentConfig:
     d_grid: list = field(default_factory=list)
     a_grid: list = field(default_factory=list)
     b_grid: list = field(default_factory=list)
-    decision_tol: float = DEFAULT_DECISION_TOL
     packing_budget: int = 20000
     jobs: int = 1
 
@@ -224,12 +222,26 @@ class ExperimentConfig:
         return cls(**data)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
+    for name in ("families", "theorems", "k_grid", "d_grid", "a_grid", "b_grid"):
+        if not isinstance(getattr(cfg, name), list):
+            raise ToolError("CONFIG_ERROR", f"{name} must be a list")
+    for name in ("packing_budget", "jobs"):
+        if not _is_int(getattr(cfg, name)):
+            raise ToolError("CONFIG_ERROR", f"{name} must be an integer")
+    if not all(_is_int(v) for v in cfg.k_grid + cfg.d_grid):
+        raise ToolError("CONFIG_ERROR", "k_grid and d_grid entries must be integers")
     if not cfg.families:
         raise ToolError("CONFIG_ERROR", "no families configured")
     for entry in cfg.families:
-        if "family" not in entry:
+        if not isinstance(entry, dict) or "family" not in entry:
             raise ToolError("CONFIG_ERROR", f"family entry without name: {entry}")
+        if not (_is_int(entry.get("trials", 1)) and _is_int(entry.get("seed", 0))):
+            raise ToolError("CONFIG_ERROR", f"trials and seed must be integers: {entry}")
         if entry.get("trials", 1) < 0:
             raise ToolError("CONFIG_ERROR", "trials must be >= 0")
     for tid in cfg.theorems:
@@ -237,7 +249,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ToolError("CONFIG_ERROR", f"unknown theorem id {tid!r}")
         if not _request_combos(cfg, tid):
             raise ToolError("CONFIG_ERROR", f"{tid} selected but no grid point meets its rules")
-    check_tol(cfg.decision_tol, "decision_tol", "CONFIG_ERROR")
     if cfg.packing_budget < 1:
         raise ToolError("CONFIG_ERROR", "packing_budget must be >= 1")
 
@@ -294,8 +305,7 @@ def _random_partition(n: int, rng: random.Random) -> list[list[int]]:
 
 
 def _run_trial(args) -> dict:
-    cfg_data, entry, index, local_index = args
-    cfg = ExperimentConfig.from_dict(cfg_data)
+    requests, budget, entry, index, local_index = args
     trial_seed = (entry.get("seed", 0) ^ local_index) & _MASK
     row: dict = {
         "trial": index,
@@ -327,32 +337,27 @@ def _run_trial(args) -> dict:
     def cross_result(k: int, d: int):
         key = (k, d)
         if key not in search_cache:
-            search_cache[key] = search_pkd_witness(g, k, d, budget=cfg.packing_budget)
+            search_cache[key] = search_pkd_witness(g, k, d, budget=budget)
         return search_cache[key]
 
     cross_on = cross_verify_on(g.n)
     certs = []
-    for tid in cfg.theorems:
-        for k, d, a, b in _request_combos(cfg, tid):
-            req = CertificateRequest(
-                theorem_id=tid, k=k, d=d, a=_exact(a), b=_exact(b),
-                decision_tol=cfg.decision_tol,
+    for fields, req in requests:
+        digest = dict(fields)
+        try:
+            pre = cross_result(req.k, g.min_degree if req.d is None else req.d) if cross_on else None
+            rep = certify(g, req, budget=budget, cross_result=pre)
+            digest["outcome"] = rep.outcome
+            digest["measured"] = rep.measured
+            digest["threshold_decimal"] = (
+                None if rep.threshold is None else float(rep.threshold)
             )
-            digest: dict = {"theorem_id": tid, "k": k, "d": d, "a": a, "b": b}
-            try:
-                pre = cross_result(k, d if d is not None else g.min_degree) if cross_on else None
-                rep = certify(g, req, budget=cfg.packing_budget, cross_result=pre)
-                digest["outcome"] = rep.outcome
-                digest["measured"] = rep.measured
-                digest["threshold_decimal"] = (
-                    None if rep.threshold is None else float(rep.threshold)
-                )
-                if rep.cross_check is not None:
-                    digest["cross_status"] = rep.cross_check.status
-                    digest["consistent"] = rep.cross_check.consistent
-            except ToolError as err:
-                digest["error"] = err.code
-            certs.append(digest)
+            if rep.cross_check is not None:
+                digest["cross_status"] = rep.cross_check.status
+                digest["consistent"] = rep.cross_check.consistent
+        except ToolError as err:
+            digest["error"] = err.code
+        certs.append(digest)
     row["certificates"] = certs
 
     rng = random.Random((trial_seed * _MIX + 0xA5A5) & _MASK)
@@ -369,7 +374,7 @@ def _run_trial(args) -> dict:
 
 
 _AGG_COLS = (
-    "evaluated", "hypothesis_failed", "condition_fails", "marginal", "certified",
+    "evaluated", "hypothesis_failed", "condition_fails", "certified",
     "cross_found", "cross_refuted", "cross_inconclusive", "counterexamples",
 )
 
@@ -401,12 +406,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     width = jobs if jobs is not None else cfg.jobs
     if width < 1:
         raise ToolError("CONFIG_ERROR", f"jobs must be >= 1, got {width}")
-    cfg_data = asdict(cfg)
+    requests = [  # (report fields with the raw grid values, request)
+        ({"theorem_id": tid, "k": k, "d": d, "a": a, "b": b},
+         CertificateRequest(theorem_id=tid, k=k, d=d, a=_exact(a), b=_exact(b)))
+        for tid in cfg.theorems
+        for k, d, a, b in _request_combos(cfg, tid)
+    ]
     tasks = []
     index = 0
     for entry in cfg.families:
         for local in range(entry.get("trials", 1)):
-            tasks.append((cfg_data, entry, index, local))
+            tasks.append((requests, cfg.packing_budget, entry, index, local))
             index += 1
     width = min(width, len(tasks), os.cpu_count() or 1)
     if width > 1:

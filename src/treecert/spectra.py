@@ -76,13 +76,48 @@ def build_matrix(g: Graph, a: float, b: float) -> SymmetricMatrix:
     return matrix_from_rows(rows)
 
 
-def check_tol(tol: float, name: str = "tol", code: str = "PARAMETER_ERROR") -> None:
-    """Reject a tolerance that is not finite and positive: with inf the
-    Jacobi iteration stops before its first rotation, with NaN it never
-    converges, and as a decision tolerance either one makes every outcome
-    MARGINAL."""
+def inertia(g: Graph, a, b, theta) -> tuple[int, int, int]:
+    """(above, at, below): how many eigenvalues of a*D(G) + b*A(G) lie
+    above, at and below theta, counted exactly (a, b, theta int or Fraction).
+
+    By Sylvester's law of inertia these are the pivot signs of M - theta*I
+    scaled to integers, reduced by fraction-free symmetric elimination
+    (Bareiss) on the upper triangle: pivot k is a leading minor, so the
+    k-th LDL^T pivot has the sign of pivot k times pivot k-1. A zero pivot
+    whose row's first nonzero is m at column j gets s times row and column
+    j added: 2*s*m + M[j][j] is nonzero for s = 1 or -1. A zero pivot in
+    an all-zero row is a zero eigenvalue."""
+    scale = math.lcm(a.denominator, b.denominator, theta.denominator)
+    n = g.n  # u[i][j - i] holds entry (i, j) for j >= i
+    u = [[int((a * g.degrees[i] - theta) * scale)] + [0] * (n - 1 - i) for i in range(n)]
+    for i, j in g.edges:
+        u[i][j - i] = int(b * scale)
+    counts = [0, 0, 0]
+    prev = 1
+    for k in range(n):
+        row = u[k]
+        if row[0] == 0:
+            j = next((k + c for c, x in enumerate(row) if x), None)
+            if j is None:
+                counts[1] += 1
+                continue
+            col = [u[r][j - r] for r in range(k, j)] + u[j]  # entries (r, j), r >= k
+            m, s = row[j - k], 1 if 2 * row[j - k] + col[j - k] else -1
+            row = [2 * s * m + col[j - k]] + [x + s * y for x, y in zip(row[1:], col[1:])]
+        p = row[0]
+        counts[0 if (p > 0) == (prev > 0) else 2] += 1
+        for i, m in enumerate(row[1:], k + 1):
+            u[i] = [(p * x - m * y) // prev for x, y in zip(u[i], row[i - k:])]
+        prev = p
+    return tuple(counts)
+
+
+def check_tol(tol: float) -> None:
+    """Reject a Jacobi convergence tolerance that is not finite and
+    positive: with inf the iteration stops before its first rotation,
+    with NaN it never converges."""
     if not 0 < tol < math.inf:  # false for NaN too
-        raise ToolError(code, f"{name} must be finite and > 0, got {tol}")
+        raise ToolError("PARAMETER_ERROR", f"tol must be finite and > 0, got {tol}")
 
 
 def sym_eigenvalues(m: SymmetricMatrix, tol: float = DEFAULT_TOL) -> tuple[float, ...]:

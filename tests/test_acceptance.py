@@ -281,7 +281,7 @@ def test_criterion_11_remainder_reduction_soundness():
 
 # sha256 of the shipped corpus report; a change that alters the report's
 # semantics updates this pin and records why in CHANGES.md
-SHIPPED_REPORT_SHA256 = "bae970b47ac7f6bddde05fb33995522a03e02120a0094d6a102b9ab24bc6d9c2"
+SHIPPED_REPORT_SHA256 = "33d9e442fe13f74465ef6fcf9bd645826f880d527a04e5b3ffe43b6ec2014468"
 
 
 def test_criterion_12_determinism(default_report):

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import random
 from fractions import Fraction
 
@@ -15,6 +17,9 @@ from treecert import (
 )
 
 from corpus import complete, cycle, random_connected_graph, two_blocks_bridge
+
+# the package exports the function `certify` under the module's name
+certify_module = importlib.import_module("treecert.certify")
 
 
 def k8_minus_matching():
@@ -94,12 +99,25 @@ def test_report_json_schema():
     assert set(data["cross_check"]) == {"status", "consistent"}
 
 
-def test_marginal_band():
-    rep = certify(
-        complete(7), CertificateRequest("thm5.1", k=2, decision_tol=10.0)
-    )
-    assert rep.outcome == "MARGINAL"
-    assert rep.conclusion is None
+def test_eigenvalue_at_its_threshold_fails(monkeypatch):
+    # cor5.3ii asks for lambda_{n-1}(L) > threshold; on K7 that eigenvalue
+    # is exactly 7 (six times). Within 1e-12 of it the float spectrum cannot
+    # tell the sides apart; the exact decision can, and a tie fails.
+    rule = certify_module._REGISTRY["cor5.3ii"]
+    req = CertificateRequest("cor5.3ii", k=2, cross_verify=False)
+    eps = Fraction(1, 10**12)
+    for theta, outcome in [
+        (7 - eps, "CERTIFIED"), (Fraction(7), "CONDITION_FAILS"), (7 + eps, "CONDITION_FAILS"),
+    ]:
+        monkeypatch.setitem(
+            certify_module._REGISTRY, "cor5.3ii",
+            dataclasses.replace(rule, threshold=lambda *_, t=theta: t),
+        )
+        rep = certify(complete(7), req)
+        assert abs(rep.measured - 7) < 1e-9
+        assert rep.threshold == theta
+        assert rep.outcome == outcome, theta
+        assert (rep.conclusion is not None) == (outcome == "CERTIFIED")
 
 
 def test_cross_verify_defaults():
@@ -145,10 +163,10 @@ def test_certify_disconnected():
         CertificateRequest("thm5.1", k=1, a=1),  # no matrix parameters
         CertificateRequest("nope", k=1),
         CertificateRequest("thm5.1", k=0),
-        CertificateRequest("thm5.1", k=1, decision_tol=0.0),
-        CertificateRequest("thm5.1", k=2, decision_tol=float("nan")),  # was MARGINAL
-        CertificateRequest("thm5.1", k=2, decision_tol=float("inf")),
-        CertificateRequest("thm1.1", k=1, d=2, decision_tol=float("nan")),
+        CertificateRequest("thm1.1", k=0, d=2),
+        CertificateRequest("thm1.1", k=1, d=0),
+        CertificateRequest("thm1.1", k=1, d=2, a=1),  # no matrix parameters
+        CertificateRequest("cor3.1i", k=2, a="one"),  # not a rational
         CertificateRequest("cor5.2ii", k=1, a=1),  # b missing
         CertificateRequest("cor5.3i", k=1, b=1),  # no b parameter
     ],

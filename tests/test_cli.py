@@ -166,30 +166,34 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     k7 = "7 21\n" + "\n".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
     k13 = "13 78\n" + "\n".join(f"{u} {v}" for u in range(13) for v in range(u + 1, 13))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
+    cfg = {
         "families": [{"family": "complete", "params": {"n": 6}}],
         "theorems": ["thm5.1"],
         "k_grid": [1],
-    }))
+    }
+    cfg_path.write_text(json.dumps(cfg))
+    typo_path = tmp_path / "typo.json"
+    typo_path.write_text(json.dumps({**cfg, "families": [{**cfg["families"][0], "trials": "2"}]}))
     cases = [
         (["spectrum", "--input", graph_file(K4), "--tol", "inf"], "PARAMETER_ERROR"),
         (["spectrum", "--input", graph_file(K4), "--tol", "nan"], "PARAMETER_ERROR"),
-        (
-            ["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
-             "--decision-tol", "nan"],
-            "PARAMETER_ERROR",
-        ),
         (
             ["certify", "--input", graph_file(k13), "--theorem", "thm5.1", "--k", "2",
              "--cross-verify"],
             "TOO_LARGE",
         ),
         (["experiment", "--config", str(cfg_path), "--jobs", "0"], "CONFIG_ERROR"),
+        (["experiment", "--config", str(typo_path)], "CONFIG_ERROR"),
     ]
     for argv, code_name in cases:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "", argv
         assert code_name in err, argv
+    # decisions are exact: there is no tolerance flag, so argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
+              "--decision-tol", "1e-8"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_exit_2(capsys):

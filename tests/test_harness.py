@@ -109,7 +109,6 @@ def _tiny_config(**overrides):
         d_grid=[],
         a_grid=[1],
         b_grid=[2, -2],
-        decision_tol=1e-8,
         packing_budget=5000,
         jobs=1,
     )
@@ -207,9 +206,24 @@ def test_config_validation():
         run_experiment(_tiny_config(theorems=["cor3.1iii"], b_grid=[2]))
     with pytest.raises(ToolError):
         ExperimentConfig.from_dict({"families": [], "theorems": [], "k_grid": [], "bogus": 1})
+    # decisions are exact, so a decision tolerance is an unknown key
+    with pytest.raises(ToolError) as err:
+        ExperimentConfig.from_dict({"families": [], "theorems": [], "k_grid": [], "decision_tol": 1e-8})
+    assert err.value.code == "CONFIG_ERROR" and "decision_tol" in err.value.message
+    k7 = {"family": "complete", "params": {"n": 7}}
     for bad in [
-        dict(decision_tol=float("nan")),
-        dict(decision_tol=float("inf")),
+        dict(families=[{**k7, "trials": "2"}]),
+        dict(families=[{**k7, "seed": 1.5}]),
+        dict(families=[5]),
+        dict(families={"family": "complete"}),
+        dict(theorems="thm5.1"),
+        dict(k_grid=["1"]),
+        dict(k_grid=2),
+        dict(theorems=["thm1.1"], d_grid=[True]),
+        dict(a_grid=1),
+        dict(b_grid=None),
+        dict(packing_budget="5"),
+        dict(jobs="2"),
         dict(theorems=["cor5.2i"], a_grid=[-1]),  # every a below a_min = 0
         dict(theorems=["cor3.1ii"], a_grid=[-1], b_grid=[0.5]),  # a/b < -1
         dict(theorems=["cor3.1ii"], b_grid=["two"]),

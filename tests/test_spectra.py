@@ -1,10 +1,20 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from treecert import ToolError, build_matrix, spectral_profile, sym_eigenvalues
+from treecert import (
+    FamilySpec,
+    ToolError,
+    build_matrix,
+    generate,
+    inertia,
+    spectral_profile,
+    sym_eigenvalues,
+)
 from treecert.spectra import matrix_from_rows
 
 from corpus import complete, cycle, graphs, path, random_graph
@@ -65,6 +75,37 @@ def test_power_sum_identities():
         scale = 1 + m.frobenius_norm() ** 3
         assert abs(sum(x * x for x in eigs) - sum(sq[i][i] for i in range(n))) <= 1e-8 * scale
         assert abs(sum(x**3 for x in eigs) - sum(cu[i][i] for i in range(n))) <= 1e-8 * scale
+
+
+def test_inertia_exact_cases():
+    # C4 adjacency {2, 0, 0, -2}: the first pivot is a zero diagonal entry
+    assert inertia(cycle(4), 0, 1, 0) == (1, 2, 1)
+    assert inertia(complete(5), 0, 1, 0) == (1, 0, 4)  # {4, -1 x 4}
+    assert inertia(complete(7), 1, -1, Fraction(7)) == (0, 6, 1)  # {7 x 6, 0}
+    assert inertia(complete(7), 1, -1, 7 - Fraction(1, 10**12)) == (6, 0, 1)
+    # 2D - A of P3 is {3 + sqrt 3, 2, 3 - sqrt 3}; at theta = 2 the zero
+    # pivot's row is (0, -1) with M[1][1] = 2, so only s = -1 clears it
+    assert inertia(path(3), 2, -1, 2) == (1, 1, 1)
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+    a=_rationals,
+    b=_rationals,
+    theta=st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+def test_inertia_matches_jacobi_counts(n, p, seed, a, b, theta):
+    g = generate(FamilySpec("gnp", {"n": n, "p": p}, seed=seed))
+    eigs = spectral_profile(g, a, b).eigenvalues
+    assume(all(abs(x - theta) >= 1e-6 for x in eigs))
+    above = sum(x > theta for x in eigs)
+    assert inertia(g, a, b, theta) == (above, 0, n - above)
 
 
 def test_profile_accessors():
