@@ -4,6 +4,11 @@ Every subcommand reads a graph from --input (edge-list "n m" header format
 or graph6, auto-detected) and prints JSON. Exit codes: 0 on success, 2 on
 parse/precondition/parameter errors, 3 when a requested decision came back
 INCONCLUSIVE.
+
+`verify-pkd` settles P(k, d) by a seeded matroid-union decision: the union
+rank refutes, the complement of the seeded trees finds a witness, and only
+the left-over case runs the exhaustive k-packing enumeration under
+`--budget`, the one source of INCONCLUSIVE.
 """
 
 from __future__ import annotations

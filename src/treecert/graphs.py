@@ -14,6 +14,9 @@ from .errors import ParseError, ToolError
 Edge = tuple[int, int]
 VertexSet = frozenset[int]
 
+# Parsers reject larger vertex counts before any per-vertex allocation.
+MAX_VERTICES = 1000
+
 
 def edge(u: int, v: int) -> Edge:
     """Normalized undirected edge: (min, max)."""
@@ -87,8 +90,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header plus m "u v" lines into a Graph.
 
     Raises ParseError with a distinct code and the offending line number for:
-    malformed lines, self-loops, duplicate edges, out-of-range vertices, and
-    a declared edge count that does not match the body.
+    malformed lines, a vertex count above MAX_VERTICES, self-loops,
+    duplicate edges, out-of-range vertices, and a declared edge count that
+    does not match the body.
     """
     lines = text.splitlines()
     rows: list[tuple[int, str]] = [
@@ -106,6 +110,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("MALFORMED_LINE", head_no, f"expected 'n m', got {head!r}")
     if n < 1 or m < 0:
         raise ParseError("MALFORMED_LINE", head_no, f"invalid header n={n} m={m}")
+    if n > MAX_VERTICES:
+        raise ParseError("TOO_LARGE", head_no, f"n={n} exceeds the cap of {MAX_VERTICES}")
 
     body = rows[1:]
     if len(body) > m:
@@ -180,6 +186,8 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError("MALFORMED_LINE", 1, "truncated graph6 size field")
     if n < 1:
         raise ParseError("MALFORMED_LINE", 1, "graph6 with no vertices")
+    if n > MAX_VERTICES:
+        raise ParseError("TOO_LARGE", 1, f"n={n} exceeds the cap of {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:

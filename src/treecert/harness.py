@@ -244,6 +244,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ToolError("CONFIG_ERROR", f"trials and seed must be integers: {entry}")
         if entry.get("trials", 1) < 0:
             raise ToolError("CONFIG_ERROR", "trials must be >= 0")
+        params = entry.get("params", {})
+        if not isinstance(params, dict) or not all(
+            _is_int(v) or (key == "p" and isinstance(v, float))
+            for key, v in params.items()
+        ):
+            raise ToolError(
+                "CONFIG_ERROR", f"family params must be integers (gnp's p a number): {entry}"
+            )
     for tid in cfg.theorems:
         if tid not in THEOREM_IDS:
             raise ToolError("CONFIG_ERROR", f"unknown theorem id {tid!r}")

@@ -6,8 +6,12 @@ Three independent routes live here on purpose:
   (exact rationals, the ground truth),
 * constructive tree packing by matroid-union augmentation (polynomial,
   produces the actual trees),
-* an exhaustive packing search deciding whether k disjoint spanning trees
-  can leave room for one more sufficiently large forest.
+* the P(k, d) decision: whether k disjoint spanning trees can leave room
+  for one more sufficiently large forest. A (k+1)-forest matroid-union
+  state seeded with k packed trees refutes by its rank (REFUTED) or finds
+  the forest in the complement of those trees (FOUND); only what is left
+  runs the budgeted enumeration of every k-packing, the one source of
+  INCONCLUSIVE.
 
 All threshold comparisons are integer/rational; floating point never
 decides a combinatorial branch.
@@ -384,10 +388,16 @@ def search_pkd_witness(
     """Decide whether k disjoint spanning trees plus a qualifying extra
     forest exist.
 
-    FOUND always carries a verified witness. REFUTED is only returned after
-    the canonical packing enumeration ran to completion; running out of the
-    node budget first yields INCONCLUSIVE. Two fast paths: a (k+1)-packing
-    settles FOUND immediately, and failure to pack k trees settles REFUTED.
+    k packed trees seed a (k+1)-forest matroid-union state, augmented with
+    every other edge. Augmenting chains swap edges one for one and grow
+    only the last forest, so the trees stay spanning and that forest ends
+    with f = R - k(n-1) edges, R the union rank. Any k trees plus any
+    forest F are k+1 disjoint forests, so |F| <= f: d*f <= (d-1)(n-1)
+    settles REFUTED. Otherwise, if the complement of the seeded trees
+    passes `remainder_feasible`, FOUND. What is left falls back to the
+    budgeted enumeration of every k-packing, the only source of
+    INCONCLUSIVE; the first two stages report nodes = 0. FOUND always
+    carries a verified witness.
     """
     if k < 1 or d < 1:
         raise ToolError("PARAMETER_ERROR", "k and d must be >= 1")
@@ -396,20 +406,37 @@ def search_pkd_witness(
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the search needs a connected graph")
 
-    if pack_spanning_trees(g, k) is None:
+    trees = pack_spanning_trees(g, k)
+    if trees is None:
         return PkdSearchResult("REFUTED", None, 0)
-    extra = pack_spanning_trees(g, k + 1)
-    if extra is not None:
-        w = PackingWitness(trees=extra[:k], forest=extra[k], k=k, d=d)
-        bad = verify_pkd_witness(g, w)
-        if bad:
-            raise ToolError("INTERNAL", f"fast path built an invalid witness: {bad}")
-        return PkdSearchResult("FOUND", w, 0)
+    n = g.n
+    forests = _Forests(k + 1, n)
+    for i, t in enumerate(trees):
+        for e in t:
+            forests.add(i, e)
+    extra = 0
+    for e in g.sorted_edges():
+        if e not in forests.owner and forests.try_insert(e):
+            extra += 1
+            if extra == n - 1:  # the extra forest spans
+                break
+    seeded = forests.edge_sets()[:k]
+    if not all(_is_spanning_tree(t, n) for t in seeded):
+        raise ToolError("INTERNAL", "augmentation broke a seeded tree")
+    if d * extra <= (d - 1) * (n - 1):
+        return PkdSearchResult("REFUTED", None, 0)
+    remainder = g.edges.difference(*seeded)
+    if remainder_feasible(n, remainder, d):
+        return PkdSearchResult("FOUND", _build_witness(g, seeded, remainder, k, d), 0)
+    return _enumerate_packings(g, k, d, budget)
 
-    # tau(g) == k exactly: enumerate every k-packing, checking whether the
-    # leftover edges can host the forest. Trees are built as increasing
-    # edge-index sequences with strictly increasing first edges across the
-    # trees, so each unordered packing appears exactly once.
+
+def _enumerate_packings(g: Graph, k: int, d: int, budget: int) -> PkdSearchResult:
+    """Enumerate every k-packing, checking whether the leftover edges can
+    host the forest. Trees are built as increasing edge-index sequences
+    with strictly increasing first edges across the trees, so each
+    unordered packing appears exactly once. Past `budget` nodes the verdict
+    is INCONCLUSIVE."""
     edges = g.sorted_edges()
     m = len(edges)
     n = g.n
@@ -429,7 +456,8 @@ def search_pkd_witness(
         if ti == k:
             remainder = [edges[j] for j in range(m) if not used[j]]
             if remainder_feasible(n, remainder, d):
-                raise _Found(_build_witness(g, edges, tree_edges, remainder, k, d))
+                trees = [frozenset(edges[j] for j in idxs) for idxs in tree_edges]
+                raise _Found(_build_witness(g, trees, remainder, k, d))
             return
         unused = [edges[j] for j in range(m) if not used[j]]
         if len(_union_edges(n, unused)[1]) < need:  # the unused edges do not span
@@ -467,10 +495,10 @@ def search_pkd_witness(
     return PkdSearchResult("REFUTED", None, nodes[0])
 
 
-def _build_witness(g, edges, tree_edges, remainder, k, d) -> PackingWitness:
-    trees = tuple(frozenset(edges[j] for j in idxs) for idxs in tree_edges)
-    forest = spanning_forest(g.n, remainder)
-    w = PackingWitness(trees=trees, forest=forest, k=k, d=d)
+def _build_witness(g: Graph, trees, remainder, k: int, d: int) -> PackingWitness:
+    w = PackingWitness(
+        trees=tuple(trees), forest=spanning_forest(g.n, remainder), k=k, d=d
+    )
     bad = verify_pkd_witness(g, w)
     if bad:
         raise ToolError("INTERNAL", f"search built an invalid witness: {bad}")

@@ -281,7 +281,7 @@ def test_criterion_11_remainder_reduction_soundness():
 
 # sha256 of the shipped corpus report; a change that alters the report's
 # semantics updates this pin and records why in CHANGES.md
-SHIPPED_REPORT_SHA256 = "33d9e442fe13f74465ef6fcf9bd645826f880d527a04e5b3ffe43b6ec2014468"
+SHIPPED_REPORT_SHA256 = "53f995dd00d6f03227f28857290766c003ac5d82dfd46206002e5bb797aa336b"
 
 
 def test_criterion_12_determinism(default_report):

@@ -20,8 +20,8 @@ K5 = "5 10\n" + "\n".join(
     f"{u} {v}" for u in range(5) for v in range(u + 1, 5)
 ) + "\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
-C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 P3 = "3 2\n0 1\n1 2\n"
+FALLBACK = "6 9\n0 1\n0 2\n0 3\n0 4\n0 5\n1 5\n2 3\n2 4\n3 4\n"
 
 
 def run(capsys, argv):
@@ -109,12 +109,17 @@ def test_verify_pkd_refuted(capsys, graph_file):
 
 
 def test_verify_pkd_inconclusive_exit_code(capsys, graph_file):
+    # the seeded packing leaves components too small for d = 4, so the
+    # one-node budget stops the enumeration fallback
     code, out, _ = run(
         capsys,
-        ["verify-pkd", "--input", graph_file(C5), "--k", "1", "--d", "2", "--budget", "1"],
+        ["verify-pkd", "--input", graph_file(FALLBACK), "--k", "1", "--d", "4",
+         "--budget", "1"],
     )
     assert code == 3
-    assert json.loads(out)["status"] == "INCONCLUSIVE"
+    data = json.loads(out)
+    assert data["status"] == "INCONCLUSIVE"
+    assert data["nodes"] > 0
 
 
 def test_certify(capsys, graph_file):
@@ -174,6 +179,8 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     typo_path = tmp_path / "typo.json"
     typo_path.write_text(json.dumps({**cfg, "families": [{**cfg["families"][0], "trials": "2"}]}))
+    param_path = tmp_path / "param.json"
+    param_path.write_text(json.dumps({**cfg, "families": [{"family": "complete", "params": {"n": "5"}}]}))
     cases = [
         (["spectrum", "--input", graph_file(K4), "--tol", "inf"], "PARAMETER_ERROR"),
         (["spectrum", "--input", graph_file(K4), "--tol", "nan"], "PARAMETER_ERROR"),
@@ -184,6 +191,7 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
         ),
         (["experiment", "--config", str(cfg_path), "--jobs", "0"], "CONFIG_ERROR"),
         (["experiment", "--config", str(typo_path)], "CONFIG_ERROR"),
+        (["experiment", "--config", str(param_path)], "CONFIG_ERROR"),
     ]
     for argv, code_name in cases:
         code, out, err = run(capsys, argv)

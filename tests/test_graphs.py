@@ -70,6 +70,40 @@ def test_parse_malformed():
         parse_edge_list("")
 
 
+def test_parse_caps_the_vertex_count():
+    from treecert.graphs import MAX_VERTICES
+
+    for text in (f"{MAX_VERTICES + 1} 0", "100000000 1\n0 1"):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert err.value.code == "TOO_LARGE" and err.value.line == 1
+    assert parse_edge_list(f"{MAX_VERTICES} 0").n == MAX_VERTICES
+    # graph6 four-byte size field: n = 2000
+    size = "~" + "".join(chr(63 + ((2000 >> s) & 63)) for s in (12, 6, 0))
+    with pytest.raises(ParseError) as err:
+        parse_graph6(size)
+    assert err.value.code == "TOO_LARGE"
+
+
+_edge_list_like = st.lists(
+    st.lists(
+        st.one_of(st.integers(-2, 12), st.integers(), st.sampled_from(["x", "", "1.5"])),
+        max_size=3,
+    ).map(lambda row: " ".join(map(str, row))),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _edge_list_like))
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_edge_list, parse_graph6):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
 def test_cut_size_examples():
     k4 = complete(4)
     assert cut_size(k4, {0}, {1, 2, 3}) == 3

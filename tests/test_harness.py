@@ -214,6 +214,10 @@ def test_config_validation():
     for bad in [
         dict(families=[{**k7, "trials": "2"}]),
         dict(families=[{**k7, "seed": 1.5}]),
+        dict(families=[{**k7, "params": {"n": "5"}}]),
+        dict(families=[{**k7, "params": {"n": 5.0}}]),
+        dict(families=[{**k7, "params": [7]}]),
+        dict(families=[{"family": "gnp", "params": {"n": 6, "p": "0.5"}}]),
         dict(families=[5]),
         dict(families={"family": "complete"}),
         dict(theorems="thm5.1"),

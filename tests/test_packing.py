@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from treecert import (
     verify_pkd_witness,
 )
 from treecert.packing import (
+    PkdSearchResult,
+    _enumerate_packings,
     _is_forest,
     _is_spanning_tree,
     remainder_feasible,
@@ -216,21 +219,76 @@ def test_search_examples():
     assert search_pkd_witness(complete(4), 2, 3).status == "REFUTED"
 
 
-def test_search_found_by_enumeration():
-    # K4 plus a pendant vertex: tau = 1, so the (k+1) fast path fails and
-    # the packing enumeration must discover a tree leaving a good forest
+def test_search_seeded_route_settles_without_enumeration():
+    # K4 plus a pendant vertex: tau = 1. The pendant edge sits in every
+    # tree, so any extra forest has at most 3 edges: FOUND for d = 2, and
+    # REFUTED by the rank bound at d = 5, which needs 4.
     g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
     assert tau_partition_bruteforce(g) == 1
-    res = search_pkd_witness(g, 1, 2)
+    found = search_pkd_witness(g, 1, 2)
+    assert (found.status, found.nodes) == ("FOUND", 0)
+    assert verify_pkd_witness(g, found.witness) == []
+    assert search_pkd_witness(g, 1, 5) == PkdSearchResult("REFUTED", None, 0)
+    # tau >= k + 1: the extra forest spans
+    spans = search_pkd_witness(complete(6), 2, 5)
+    assert (spans.status, spans.nodes, len(spans.witness.forest)) == ("FOUND", 0, 5)
+    # fewer than k trees
+    assert search_pkd_witness(cycle(5), 2, 1) == PkdSearchResult("REFUTED", None, 0)
+
+
+# Vertex 0 joins every vertex, 1-5 is a pendant edge and 2, 3, 4 a
+# triangle: tau = 1 and the seeded tree leaves a big enough remainder whose
+# components are too small for d = 4, so only the enumeration settles it.
+FALLBACK_GRAPH = build_graph(
+    6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)]
+)
+
+
+def test_search_found_by_enumeration():
+    g = FALLBACK_GRAPH
+    assert tau_partition_bruteforce(g) == 1
+    res = search_pkd_witness(g, 1, 4)
     assert res.status == "FOUND"
     assert res.nodes > 0  # really went through the enumeration
     assert verify_pkd_witness(g, res.witness) == []
 
 
 def test_search_budget_exhaustion():
-    res = search_pkd_witness(cycle(5), 1, 2, budget=1)
+    res = search_pkd_witness(FALLBACK_GRAPH, 1, 4, budget=1)
     assert res.status == "INCONCLUSIVE"
     assert res.witness is None
+    assert res.nodes > 0
+
+
+def test_seeded_decision_matches_enumeration():
+    """The seeded matroid-union verdict equals the full canonical
+    enumeration (unlimited budget) on every connected graph with n <= 5 and
+    on random connected graphs with n <= 9, for k in {1, 2} and d in 1..5."""
+    rng = random.Random(9)
+    randoms = []
+    while len(randoms) < 150:
+        g = random_connected_graph(rng, 2, 9)
+        if g.m <= 14:  # keeps the exhaustive oracle quick
+            randoms.append(g)
+    sample = [g for n in range(2, 6) for g in all_connected_graphs(n)] + randoms
+    # known fallback cases: the seeded trees leave a forest of the right
+    # size whose components are too small
+    sample.append(FALLBACK_GRAPH)
+    sample.append(
+        build_graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
+                        (2, 5), (2, 6), (3, 5), (4, 6)])
+    )
+    fallbacks = 0
+    for g in sample:
+        for k in (1, 2):
+            for d in range(1, 6):
+                res = search_pkd_witness(g, k, d)
+                oracle = _enumerate_packings(g, k, d, budget=math.inf)
+                assert res.status == oracle.status, (g, sorted(g.edges), k, d)
+                if res.witness is not None:
+                    assert verify_pkd_witness(g, res.witness) == []
+                fallbacks += res.nodes > 0
+    assert fallbacks >= 2
 
 
 def test_search_refuted_stable_under_relabeling():
