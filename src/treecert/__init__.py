@@ -1,5 +1,5 @@
 """Spectral certificates for edge-disjoint spanning-tree packings with an
-extra constrained forest, cross-checked against exact combinatorial oracles.
+extra constrained forest, cross-checked against exact combinatorial ground truth.
 """
 
 from types import ModuleType as _ModuleType
@@ -51,7 +51,6 @@ from .packing import (
     search_pkd_witness,
     spanning_forest,
     tau_packing,
-    tau_partition_bruteforce,
     verify_pkd_witness,
 )
 from .quotient import (

@@ -2,10 +2,12 @@
 graph classes that require t+1 disjoint minimum-cut sides plus a leftover
 vertex.
 
-Edge connectivity is computed by a unit-capacity max-flow at every size.
-The full listing of minimum-cut sides comes from exhaustive side
-enumeration at desk scale; the test suite requires the two routes to
-agree on the connectivity value.
+One integer-capacity max-flow routine (`max_flow`) serves every route:
+edge connectivity is a unit-capacity flow from vertex 0 to every other
+vertex; the full listing of minimum-cut sides reads the closed sets of
+those flows' residual graphs (Picard & Queyranne 1980); and
+`packing.nu_f_exact` runs it on its attack networks. The exhaustive
+2^(n-1) side scan is a test oracle, not a runtime route.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from functools import lru_cache
 from .errors import ToolError
 from .graphs import Graph, VertexSet, boundary_size_mask, components, is_connected
 
-ENUM_LIMIT = 20
+# Vertex entries over all listed sides (each cut lists n: its side and the
+# complement). C100 lists 495 000; C1000 would list about 10^9.
+SIDE_OUTPUT_CAP = 1_000_000
 T_CAP = 8
 
 
@@ -34,74 +38,139 @@ def _canon_key(s: VertexSet) -> tuple[int, tuple[int, ...]]:
     return (len(s), tuple(sorted(s)))
 
 
-def _min_cut_flow(g: Graph) -> tuple[int, VertexSet]:
-    """Global min cut via max-flow from vertex 0 to every other vertex.
+def max_flow(
+    cap: list[dict[int, int]], s: int, t: int, stop: int | None = None
+) -> tuple[int, dict[int, int | None]]:
+    """Augment shortest s-t paths by their bottleneck in the residual
+    capacities `cap` (cap[x][y], changed in place) until none is left or
+    the flow reaches `stop`.
 
-    Unit capacities in both directions; flow values are bounded by the
-    minimum degree, so repeated BFS augmentation is cheap at this scale.
+    Returns the flow value and the vertices the last search reached. When
+    t is not among them they are the residual reach-set of s: the minimal
+    source side of a minimum s-t cut.
     """
-    n = g.n
+    flow = 0
+    while True:
+        parent: dict[int, int | None] = {s: None}
+        dq = deque([s])
+        while dq and t not in parent:
+            x = dq.popleft()
+            for y, c in cap[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    dq.append(y)
+        if t not in parent:
+            return flow, parent
+        path = []
+        y = t
+        while (x := parent[y]) is not None:
+            path.append((x, y))
+            y = x
+        b = min(cap[x][y] for x, y in path)
+        for x, y in path:
+            cap[x][y] -= b
+            cap[y][x] = cap[y].get(x, 0) + b
+        flow += b
+        if stop is not None and flow >= stop:
+            return flow, parent
+
+
+def _unit_network(g: Graph) -> list[dict[int, int]]:
+    return [dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)]
+
+
+def _min_cut_flow(g: Graph) -> tuple[int, VertexSet]:
+    """Global min cut via max-flow from vertex 0 to every other vertex:
+    the smallest flow value and the minimal source side of the first t
+    attaining it. A flow that reaches the best value so far stops early."""
     best = None
     best_side: VertexSet = frozenset()
-    for t in range(1, n):
-        cap = {}
-        for u, v in g.edges:
-            cap[(u, v)] = 1
-            cap[(v, u)] = 1
-        flow = 0
-        while True:
-            parent = {0: None}
-            dq = deque([0])
-            while dq:
-                x = dq.popleft()
-                if x == t:
-                    break
-                for y in g.adjacency[x]:
-                    if y not in parent and cap[(x, y)] > 0:
-                        parent[y] = x
-                        dq.append(y)
-            if t not in parent:
-                break
-            y = t
-            while parent[y] is not None:
-                x = parent[y]
-                cap[(x, y)] -= 1
-                cap[(y, x)] += 1
-                y = x
-            flow += 1
-            if best is not None and flow >= best:
-                break
-        if t not in parent and (best is None or flow < best):
+    for t in range(1, g.n):
+        flow, reached = max_flow(_unit_network(g), 0, t, stop=best)
+        if t not in reached and (best is None or flow < best):
             best = flow
-            best_side = frozenset(parent)
+            best_side = frozenset(reached)
     assert best is not None
     return best, best_side
 
 
+def _closure(out: list[int], mask: int) -> int:
+    """Every vertex reachable from `mask` along the arcs out[v] (bitmasks)."""
+    seen = front = mask
+    while front:
+        nxt = 0
+        while front:
+            nxt |= out[(front & -front).bit_length() - 1]
+            front &= front - 1
+        front = nxt & ~seen
+        seen |= front
+    return seen
+
+
 @lru_cache(maxsize=512)
-def _enumerate_cuts(g: Graph) -> tuple[int, tuple[VertexSet, ...]]:
-    """(kappa', all minimum-cut sides) by scanning every side containing
-    vertex 0; both sides of each cut are reported."""
+def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
+    """Every non-empty proper vertex set whose boundary equals kappa'(G),
+    ordered by size then lexicographically. Both sides of each cut appear.
+
+    Each cut has one side S holding vertex 0; it is listed at
+    t = min(V \\ S). S is then a minimum 0-t cut (its boundary is kappa'),
+    and the minimum 0-t cuts are exactly the vertex sets holding 0, missing
+    t and closed in the residual graph of a maximum 0-t flow (Picard &
+    Queyranne 1980). A closed set is a union of residual reach-sets R(v),
+    so the sides listed at t are found by branching over the free vertices
+    (outside the forced part R({0..t-1}), not reaching t) in order: the
+    exclude branch bans v, the include branch adds R(v) only when R(v)
+    holds no banned vertex. Every branch ends in a distinct side, so the
+    work is polynomial in the output. Past SIDE_OUTPUT_CAP listed vertex
+    entries the listing stops with TOO_LARGE.
+    """
+    if g.n < 2:
+        raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
+    if not is_connected(g):
+        raise ToolError("DISCONNECTED", "minimum-cut sides need a connected graph")
     n = g.n
+    kappa, _ = _min_cut_flow(g)
     full = (1 << n) - 1
-    best = None
-    best_masks: list[int] = []
-    for bits in range(1 << (n - 1)):
-        mask = (bits << 1) | 1
-        if mask == full:
+    cuts: list[int] = []
+    for t in range(1, n):
+        cap = _unit_network(g)
+        flow, _ = max_flow(cap, 0, t, stop=kappa + 1)
+        if flow > kappa:
             continue
-        cut = boundary_size_mask(g, mask)
-        if best is None or cut < best:
-            best = cut
-            best_masks = [mask]
-        elif cut == best:
-            best_masks.append(mask)
-    assert best is not None
-    sides: set[VertexSet] = set()
-    for mask in best_masks:
-        sides.add(_mask_to_set(mask))
-        sides.add(_mask_to_set(full ^ mask))
-    return best, tuple(sorted(sides, key=_canon_key))
+        out = [0] * n
+        into = [0] * n
+        for x in range(n):
+            for y, c in cap[x].items():
+                if c > 0:
+                    out[x] |= 1 << y
+                    into[y] |= 1 << x
+        forced = _closure(out, (1 << t) - 1)
+        if forced >> t & 1:
+            continue
+        taken = forced | _closure(into, 1 << t)
+        free = [v for v in range(t + 1, n) if not taken >> v & 1]
+        reach: dict[int, int] = {}
+        stack = [(0, forced, 0)]
+        while stack:
+            i, side, banned = stack.pop()
+            while i < len(free) and side >> free[i] & 1:
+                i += 1
+            if i == len(free):
+                cuts.append(side)
+                if len(cuts) * n > SIDE_OUTPUT_CAP:
+                    raise ToolError(
+                        "TOO_LARGE",
+                        f"minimum-cut sides exceed {SIDE_OUTPUT_CAP} listed vertices",
+                    )
+                continue
+            v = free[i]
+            stack.append((i + 1, side, banned | 1 << v))
+            if v not in reach:
+                reach[v] = _closure(out, 1 << v)
+            if not reach[v] & banned:
+                stack.append((i + 1, side | reach[v], banned))
+    sides = [_mask_to_set(s) for s in cuts] + [_mask_to_set(full ^ s) for s in cuts]
+    return tuple(sorted(sides, key=_canon_key))
 
 
 def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
@@ -116,19 +185,6 @@ def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     if len(comps) > 1:
         return 0, min(comps, key=_canon_key)
     return _min_cut_flow(g)
-
-
-def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
-    """Every non-empty proper vertex set whose boundary equals kappa'(G),
-    ordered by size then lexicographically. Both sides of each cut appear.
-    """
-    if g.n < 2:
-        raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
-    if not is_connected(g):
-        raise ToolError("DISCONNECTED", "minimum-cut sides need a connected graph")
-    if g.n > ENUM_LIMIT:
-        raise ToolError("TOO_LARGE", f"side enumeration capped at n={ENUM_LIMIT}")
-    return _enumerate_cuts(g)[1]
 
 
 @dataclass(frozen=True)

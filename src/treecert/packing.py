@@ -1,9 +1,10 @@
 """Exact spanning-tree packing machinery.
 
-Three independent routes live here on purpose:
+Three routes live here, one per quantity:
 
-* the fractional packing number by complete set-partition enumeration
-  (exact rationals, the ground truth),
+* the fractional packing number by Cunningham's optimal attack: Newton
+  steps on lambda, each one max-flow per vertex (exact rationals; the
+  set-partition enumeration it replaced is a test oracle),
 * constructive tree packing by matroid-union augmentation (polynomial,
   produces the actual trees),
 * the P(k, d) decision: whether k disjoint spanning trees can leave room
@@ -19,17 +20,15 @@ decides a combinatorial branch.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .connectivity import GtWitness, edge_connectivity, validate_gt_witness
+from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_witness
 from .errors import ToolError
 from .graphs import Edge, Graph, VertexSet, components, edge, is_connected
 
-NU_F_CAP = 12
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -63,55 +62,80 @@ class PkdSearchResult:
 
 @lru_cache(maxsize=256)
 def nu_f_exact(g: Graph) -> FractionalPackingResult:
-    """Exact min over all vertex partitions (p >= 2) of
-    (crossing edges) / (p - 1), by complete restricted-growth enumeration.
+    """Exact min over all vertex partitions P (p >= 2 blocks) of
+    (crossing edges) / (p - 1), by Cunningham's optimal attack (1985).
+
+    Newton (Dinkelbach) steps on lambda start at m/(n-1), the ratio of the
+    all-singleton partition. Each step takes the minimum of
+    |E(P)| - lambda(|P| - 1) over all partitions from `_attack`; when it
+    is 0, lambda is the value, else lambda moves down to the ratio of the
+    minimizing partition.
 
     Ties prefer more blocks, then the lexicographically first assignment.
-    Disconnected graphs yield value 0 with the component partition.
+    Since |E(P)| - lambda|P| is submodular on the partition lattice, the
+    optimal partitions at lambda = nu_f have a unique finest member; that
+    is the one with the most blocks, and the one `_attack` returns.
+    Blocks are ordered by their smallest vertex. Disconnected graphs yield
+    value 0 with the component partition.
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
-    if g.n > NU_F_CAP:
-        raise ToolError("TOO_LARGE", f"partition enumeration capped at n={NU_F_CAP}")
     comps = components(g)
     if len(comps) > 1:
         return FractionalPackingResult(
             value=Fraction(0), partition=tuple(comps), p=len(comps)
         )
-    n = g.n
-    below = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
-    assign = [0] * n
-    best: list = [None, 0, None]  # value, p, assignment copy
-
-    def rec(v: int, nblocks: int, crossing: int) -> None:
-        if v == n:
-            if nblocks < 2:
-                return
-            val = Fraction(crossing, nblocks - 1)
-            if best[0] is None or val < best[0] or (val == best[0] and nblocks > best[1]):
-                best[0], best[1], best[2] = val, nblocks, assign.copy()
-            return
-        counts = [0] * (nblocks + 1)
-        for u in below[v]:
-            counts[assign[u]] += 1
-        deg_below = len(below[v])
-        for b in range(nblocks + 1):
-            assign[v] = b
-            rec(v + 1, nblocks + (1 if b == nblocks else 0), crossing + deg_below - counts[b])
-
-    rec(1, 1, 0)
-    blocks: list[list[int]] = [[] for _ in range(best[1])]
-    for v, b in enumerate(best[2]):
-        blocks[b].append(v)
+    lam = Fraction(g.m, g.n - 1)
+    while True:
+        settled, label = _attack(g, lam)
+        crossing = sum(1 for u, v in g.edges if label[u] != label[v])
+        blocks: dict[int, list[int]] = {}
+        for v in range(g.n):
+            blocks.setdefault(label[v], []).append(v)
+        if settled:
+            break
+        lam = Fraction(crossing, len(blocks) - 1)
     return FractionalPackingResult(
-        value=best[0], partition=tuple(frozenset(b) for b in blocks), p=best[1]
+        value=lam, partition=tuple(frozenset(b) for b in blocks.values()), p=len(blocks)
     )
 
 
-def tau_partition_bruteforce(g: Graph) -> int:
-    """Spanning-tree packing number as the exact floor of the fractional
-    packing number (partition brute force, the oracle route)."""
-    return math.floor(nu_f_exact(g).value)
+def _attack(g: Graph, lam: Fraction) -> tuple[bool, list[int]]:
+    """Whether min over partitions P of |E(P)| - lam(|P| - 1) is 0, and
+    the finest P attaining the minimum as a block label per vertex.
+
+    |E(P)| - lam|P| sums h(B) = d(B)/2 - lam over the blocks, so this is
+    the greedy for the Dilworth truncation of h. Vertex i gets
+    x(i) = min{h(B) - x(B - i) : i in B, B within 0..i}, one max-flow with
+    capacities scaled to integers by 2q (lam = p/q): the source is i, the
+    sink is the contracted vertices above i, every edge carries q each
+    way, and vertex u < i gets an arc from i of capacity x(u) when
+    x(u) >= 0, else an arc to the sink of capacity -x(u). The minimum is
+    lam + x(V). The blocks that meet the minimal source side merge with i.
+    """
+    p, q = lam.numerator, lam.denominator
+    n = g.n
+    x = [0] * n  # 2q * x(v)
+    label = list(range(n))
+    for i in range(n):
+        cap: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for u, w in g.edges:
+            if w <= i:
+                cap[u][w] = cap[w][u] = q
+            elif u <= i:
+                cap[u][n] = cap[u].get(n, 0) + q
+        for u in range(i):
+            if x[u] > 0:
+                cap[i][u] = cap[i].get(u, 0) + x[u]
+            elif x[u] < 0:
+                cap[u][n] = cap[u].get(n, 0) - x[u]
+        flow, source_side = max_flow(cap, i, n)
+        x[i] = flow - 2 * p - sum(x[u] for u in range(i) if x[u] > 0)
+        merged = {label[u] for u in source_side}
+        for u in range(i + 1):
+            if label[u] in merged:
+                label[u] = i
+    return 2 * p + sum(x) == 0, label
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +251,8 @@ def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
 
 
 def tau_packing(g: Graph) -> int:
-    """Packing number via the constructive route (works beyond the
-    partition-enumeration size cap)."""
+    """Packing number via the constructive route: the largest k for
+    which k disjoint spanning trees pack."""
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     if not is_connected(g):

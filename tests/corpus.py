@@ -7,14 +7,26 @@ frozen into the tests.
 from __future__ import annotations
 
 import json
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 from hypothesis import assume
 from hypothesis.strategies import composite, integers
 
-from treecert import ExperimentConfig, FamilySpec, Graph, build_graph, generate, is_connected
+from treecert import (
+    ExperimentConfig,
+    FamilySpec,
+    FractionalPackingResult,
+    Graph,
+    build_graph,
+    components,
+    generate,
+    is_connected,
+)
+from treecert.graphs import boundary_size_mask
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
 
@@ -50,6 +62,17 @@ def path(n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def clique_chains(max_n: int) -> list[Graph]:
+    """Every clique chain (blocks >= 2, block order q >= 2, 1 <= links <= q)
+    with at most max_n vertices."""
+    return [
+        generate(FamilySpec("clique_chain", {"blocks": c, "q": q, "links": l}))
+        for c in range(2, max_n // 2 + 1)
+        for q in range(2, max_n // c + 1)
+        for l in range(1, q + 1)
+    ]
 
 
 def random_connected_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
@@ -96,6 +119,75 @@ def two_blocks_bridge(q: int) -> Graph:
         )
     edges.append((0, q))
     return build_graph(2 * q, edges)
+
+
+def enumerate_cuts(g: Graph) -> tuple[int, tuple[frozenset, ...]]:
+    """Oracle: (kappa', all minimum-cut sides of a connected graph) by
+    scanning every side containing vertex 0; both sides of each cut are
+    reported, ordered by size then lexicographically."""
+    n = g.n
+    full = (1 << n) - 1
+    best = None
+    best_masks: list[int] = []
+    for bits in range(1 << (n - 1)):
+        mask = (bits << 1) | 1
+        if mask == full:
+            continue
+        cut = boundary_size_mask(g, mask)
+        if best is None or cut < best:
+            best = cut
+            best_masks = [mask]
+        elif cut == best:
+            best_masks.append(mask)
+    assert best is not None
+    sides = set()
+    for mask in best_masks:
+        for side in (mask, full ^ mask):
+            sides.add(frozenset(v for v in range(n) if side >> v & 1))
+    return best, tuple(sorted(sides, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def nu_f_bruteforce(g: Graph) -> FractionalPackingResult:
+    """Oracle: min over all vertex partitions (p >= 2) of
+    (crossing edges) / (p - 1) by complete restricted-growth enumeration.
+    Ties prefer more blocks, then the lexicographically first assignment;
+    disconnected graphs yield 0 with the component partition."""
+    comps = components(g)
+    if len(comps) > 1:
+        return FractionalPackingResult(value=Fraction(0), partition=tuple(comps), p=len(comps))
+    n = g.n
+    below = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
+    assign = [0] * n
+    best: list = [None, 0, None]  # value, p, assignment copy
+
+    def rec(v: int, nblocks: int, crossing: int) -> None:
+        if v == n:
+            if nblocks < 2:
+                return
+            val = Fraction(crossing, nblocks - 1)
+            if best[0] is None or val < best[0] or (val == best[0] and nblocks > best[1]):
+                best[0], best[1], best[2] = val, nblocks, assign.copy()
+            return
+        counts = [0] * (nblocks + 1)
+        for u in below[v]:
+            counts[assign[u]] += 1
+        for b in range(nblocks + 1):
+            assign[v] = b
+            rec(v + 1, nblocks + (1 if b == nblocks else 0), crossing + len(below[v]) - counts[b])
+
+    rec(1, 1, 0)
+    blocks: list[list[int]] = [[] for _ in range(best[1])]
+    for v, b in enumerate(best[2]):
+        blocks[b].append(v)
+    return FractionalPackingResult(
+        value=best[0], partition=tuple(frozenset(b) for b in blocks), p=best[1]
+    )
+
+
+def tau_partition_bruteforce(g: Graph) -> int:
+    """Oracle: the spanning-tree packing number as the floor of the
+    enumerated fractional packing number (Nash-Williams-Tutte)."""
+    return math.floor(nu_f_bruteforce(g).value)
 
 
 def exists_good_forest_bruteforce(n: int, edges, d: int) -> bool:

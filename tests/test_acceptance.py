@@ -30,7 +30,6 @@ from treecert import (
     spectral_profile,
     sym_eigenvalues,
     tau_packing,
-    tau_partition_bruteforce,
     validate_gt_witness,
 )
 from treecert.packing import remainder_feasible
@@ -42,11 +41,13 @@ from corpus import (
     cycle,
     desk_corpus,
     exists_good_forest_bruteforce,
+    nu_f_bruteforce,
     path,
     random_connected_graph,
     random_graph,
     shipped_config,
     star,
+    tau_partition_bruteforce,
 )
 
 
@@ -90,7 +91,9 @@ def test_criterion_1_oracle_equivalence(packing_corpus):
 
 def test_criterion_2_tau_equals_floor_nu_f(packing_corpus):
     ok = all(
-        tau_packing(g) == math.floor(nu_f_exact(g).value) for g in packing_corpus
+        tau_packing(g) == math.floor(nu_f_exact(g).value)
+        and nu_f_exact(g).value == nu_f_bruteforce(g).value
+        for g in packing_corpus
     )
     _report(2, ok, f"{len(packing_corpus)} graphs")
 

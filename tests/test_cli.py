@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,17 @@ def test_gt(capsys, graph_file):
     data = json.loads(out)
     assert data["member"] is True
     assert data["subsets"] == [[0], [1]]
+
+
+def test_gt_too_many_sides_exits_2(capsys, graph_file):
+    # C300 has 89 700 minimum-cut sides: the listing stops at its output
+    # cap instead of filling memory
+    c300 = "300 300\n" + "\n".join(f"{v} {(v + 1) % 300}" for v in range(300))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["gt", "--input", graph_file(c300), "--t", "1"])
+    assert code == 2 and out == ""
+    assert "TOO_LARGE" in err
+    assert time.perf_counter() - t0 < 30
 
 
 def test_verify_pkd_found(capsys, graph_file):

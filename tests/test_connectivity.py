@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from treecert import (
     FamilySpec,
@@ -12,10 +13,21 @@ from treecert import (
     min_cut_sides,
     validate_gt_witness,
 )
-from treecert.connectivity import _enumerate_cuts, _min_cut_flow
+from treecert.connectivity import SIDE_OUTPUT_CAP, _min_cut_flow
 from treecert.graphs import boundary_size
 
-from corpus import complete, cycle, path, random_connected_graph, random_graph, star
+from corpus import (
+    all_connected_graphs,
+    clique_chains,
+    complete,
+    cycle,
+    enumerate_cuts,
+    graphs,
+    path,
+    random_connected_graph,
+    random_graph,
+    star,
+)
 
 
 def test_edge_connectivity_examples():
@@ -54,7 +66,7 @@ def test_flow_route_agrees_with_enumeration():
     rng = random.Random(77)
     for _ in range(120):
         g = random_connected_graph(rng, 2, 12)
-        kappa, sides = _enumerate_cuts(g)
+        kappa, sides = enumerate_cuts(g)
         flow_kappa, flow_side = _min_cut_flow(g)
         assert flow_kappa == kappa
         assert boundary_size(g, flow_side) == kappa
@@ -66,6 +78,34 @@ def test_min_cut_sides_counts():
     assert len(min_cut_sides(complete(4))) == 8  # 4 singletons + 4 triples
     assert len(min_cut_sides(cycle(4))) == 12
     assert len(min_cut_sides(star(3))) == 6
+
+
+def test_min_cut_sides_match_enumeration_on_small_and_named_graphs():
+    for n in range(2, 6):
+        for g in all_connected_graphs(n):
+            assert min_cut_sides(g) == enumerate_cuts(g)[1]
+    for n in range(3, 16):
+        sides = min_cut_sides(cycle(n))
+        assert len(sides) == n * (n - 1)
+        assert sides == enumerate_cuts(cycle(n))[1]
+    named = [path(n) for n in range(2, 13)] + [star(k) for k in range(2, 12)]
+    for g in named + clique_chains(14):
+        assert min_cut_sides(g) == enumerate_cuts(g)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(n_min=2, n_max=14, connected=True))
+def test_min_cut_sides_match_enumeration_property(g):
+    assert min_cut_sides(g) == enumerate_cuts(g)[1]
+
+
+def test_min_cut_sides_output_cap():
+    assert len(min_cut_sides(cycle(100))) == 9900
+    # C300 has 89 700 sides, 300 listed vertices per cut
+    assert 89_700 // 2 * 300 > SIDE_OUTPUT_CAP
+    with pytest.raises(ToolError) as err:
+        min_cut_sides(cycle(300))
+    assert err.value.code == "TOO_LARGE"
 
 
 def test_min_cut_sides_all_attain_kappa_and_pair_up():

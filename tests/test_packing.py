@@ -15,7 +15,6 @@ from treecert import (
     pack_spanning_trees,
     search_pkd_witness,
     tau_packing,
-    tau_partition_bruteforce,
     verify_pkd_witness,
 )
 from treecert.packing import (
@@ -29,12 +28,15 @@ from treecert.packing import (
 
 from corpus import (
     all_connected_graphs,
+    clique_chains,
     complete,
     cycle,
     graphs,
+    nu_f_bruteforce,
     path,
     random_connected_graph,
     star,
+    tau_partition_bruteforce,
 )
 
 
@@ -79,9 +81,32 @@ def test_nu_f_disconnected_and_caps():
     g = build_graph(4, [(0, 1), (2, 3)])
     res = nu_f_exact(g)
     assert res.value == 0 and res.p == 2
-    with pytest.raises(ToolError) as err:
-        nu_f_exact(complete(13))
-    assert err.value.code == "TOO_LARGE"
+    # no size cap: the attack is polynomial
+    res = nu_f_exact(complete(13))
+    assert res.value == Fraction(13, 2) and res.p == 13
+    assert nu_f_exact(complete(30)).value == 15
+    assert nu_f_exact(cycle(40)).value == Fraction(40, 39)
+
+
+def _same_nu_f(g):
+    res, oracle = nu_f_exact(g), nu_f_bruteforce(g)
+    assert (res.value, res.p, res.partition) == (oracle.value, oracle.p, oracle.partition)
+
+
+def test_nu_f_matches_enumeration_on_small_and_named_graphs():
+    for n in range(2, 6):
+        for g in all_connected_graphs(n):
+            _same_nu_f(g)
+    for g in [cycle(n) for n in range(3, 10)] + [path(n) for n in range(2, 10)]:
+        _same_nu_f(g)
+    for g in [star(k) for k in range(2, 9)] + clique_chains(9):
+        _same_nu_f(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(n_min=2, n_max=9, connected=True))
+def test_nu_f_matches_enumeration_property(g):
+    _same_nu_f(g)
 
 
 def test_tau_examples():
