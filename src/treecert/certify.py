@@ -14,6 +14,10 @@ Decision semantics: every condition is a strict inequality against an
 exact rational threshold and is decided exactly; eigenvalues are counted
 against it by Sylvester's law of inertia (`spectra.inertia`), so one equal
 to its threshold fails. The float eigenvalue is only reported.
+
+The lemma checkers (the small-cut order bound and the Lemma 2.4/2.5 cut
+lower bound) are decided by edge connectivity, with no size cap; the
+subset scans they replaced are test oracles.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .connectivity import gt_membership
+from .connectivity import edge_connectivity, gt_membership
 from .errors import ToolError
-from .graphs import Graph, boundary_size_mask, is_connected
+from .graphs import Graph, is_connected
 from .packing import (
     DEFAULT_BUDGET,
     PkdSearchResult,
@@ -36,7 +40,6 @@ from .spectra import inertia, spectral_profile
 
 CROSS_DEFAULT_ON_MAX_N = 10
 CROSS_VERIFY_CAP = 12
-LEMMA_ENUM_CAP = 16
 
 Q = Fraction
 
@@ -332,44 +335,29 @@ def certify(
 
 
 # ---------------------------------------------------------------------------
-# empirical lemma checkers
+# lemma checkers, decided by edge connectivity
 
 
 @dataclass(frozen=True)
 class SmallCutCheck:
-    status: str  # NO_VIOLATION | VACUOUS | VIOLATIONS
-    violations: tuple
-    small_cut_sides: int  # how many subsets had boundary <= delta - 1
+    status: str  # NO_VIOLATION | VACUOUS
 
 
-def check_lemma_small_cut(g: Graph, cap: int = LEMMA_ENUM_CAP) -> SmallCutCheck:
-    """Exhaustively confirm that every vertex set with boundary at most
-    min_degree - 1 has at least min_degree + 1 vertices."""
+def check_lemma_small_cut(g: Graph) -> SmallCutCheck:
+    """Check that every vertex set with boundary at most min_degree - 1 has
+    at least min_degree + 1 vertices.
+
+    No set can violate this: each vertex of S has at least delta + 1 - |S|
+    neighbours outside S, so 1 <= |S| <= delta gives a boundary of at least
+    |S|(delta + 1 - |S|) >= delta. What is left is whether such a set exists
+    at all: NO_VIOLATION when kappa' <= delta - 1, VACUOUS otherwise.
+    """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the check needs a connected graph")
-    if g.n > cap:
-        raise ToolError("TOO_LARGE", f"subset enumeration capped at n={cap}")
-    delta = g.min_degree
-    full = (1 << g.n) - 1
-    violations = []
-    hits = 0
-    for mask in range(1, full):
-        cut = boundary_size_mask(g, mask)
-        if cut <= delta - 1:
-            hits += 1
-            size = mask.bit_count()
-            if size < delta + 1:
-                violations.append((tuple(_bits(mask)), cut, size))
-    if violations:
-        return SmallCutCheck("VIOLATIONS", tuple(violations), hits)
-    return SmallCutCheck("NO_VIOLATION" if hits else "VACUOUS", (), hits)
-
-
-def _bits(mask: int):
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        yield v
-        mask &= mask - 1
+    if g.n == 1:
+        return SmallCutCheck("VACUOUS")
+    kappa, _ = edge_connectivity(g)
+    return SmallCutCheck("NO_VIOLATION" if kappa <= g.min_degree - 1 else "VACUOUS")
 
 
 @dataclass(frozen=True)
@@ -377,22 +365,18 @@ class CutLowerBoundCheck:
     status: str  # NOT_APPLICABLE | VACUOUS | NO_VIOLATION | VIOLATIONS
     measured: float | None
     threshold: Fraction | None
-    violations: tuple
+    violations: tuple  # at most one (sorted side, boundary)
 
 
-def check_cut_lower_bound(
-    g: Graph,
-    k: int,
-    variant: str,
-    cap: int = LEMMA_ENUM_CAP,
-) -> CutLowerBoundCheck:
-    """Empirical check that, under the eigenvalue hypothesis, every
-    connected component cut off by any edge set keeps boundary >= k+1.
+def check_cut_lower_bound(g: Graph, k: int, variant: str) -> CutLowerBoundCheck:
+    """Check that, under the eigenvalue hypothesis, every connected
+    component cut off by any edge set keeps boundary >= k+1.
 
-    Component sides of edge cuts are exactly the connected induced
-    subsets, so those are what gets enumerated. Degree or class failures
-    give NOT_APPLICABLE; a failed eigenvalue hypothesis (decided exactly,
-    like `certify`) gives VACUOUS.
+    Degree or class failures give NOT_APPLICABLE; a failed eigenvalue
+    hypothesis (decided exactly, like `certify`) gives VACUOUS. Otherwise a
+    connected proper set with boundary <= k exists exactly when
+    kappa' <= k, because both sides of a minimum cut of a connected graph
+    induce connected subgraphs; VIOLATIONS carries that side as witness.
     """
     if variant not in ("lemma2.4", "lemma2.5"):
         raise ToolError("PARAMETER_ERROR", f"unknown variant {variant!r}")
@@ -415,32 +399,7 @@ def check_cut_lower_bound(
     _, at, below = inertia(g, 1, -1, threshold)
     if below + at >= small_idx:
         return CutLowerBoundCheck("VACUOUS", measured, threshold, ())
-    # the cap only guards the exhaustive phase; the short-circuit outcomes
-    # above stay available on larger graphs
-    if g.n > cap:
-        raise ToolError("TOO_LARGE", f"subset enumeration capped at n={cap}")
-    violations = []
-    full = (1 << g.n) - 1
-    for mask in range(1, full):
-        if not _induces_connected(g, mask):
-            continue
-        cut = boundary_size_mask(g, mask)
-        if cut < k + 1:
-            violations.append((tuple(_bits(mask)), cut))
-    status = "VIOLATIONS" if violations else "NO_VIOLATION"
-    return CutLowerBoundCheck(status, measured, threshold, tuple(violations))
-
-
-def _induces_connected(g: Graph, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        fresh = g.adj_bits[u] & mask & ~seen
-        while fresh:
-            v = (fresh & -fresh).bit_length() - 1
-            seen |= 1 << v
-            stack.append(v)
-            fresh &= fresh - 1
-    return seen == mask
+    kappa, side = edge_connectivity(g)
+    if kappa > k:
+        return CutLowerBoundCheck("NO_VIOLATION", measured, threshold, ())
+    return CutLowerBoundCheck("VIOLATIONS", measured, threshold, ((tuple(sorted(side)), kappa),))

@@ -37,15 +37,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -4,9 +4,10 @@ Three routes live here, one per quantity:
 
 * the fractional packing number by Cunningham's optimal attack: Newton
   steps on lambda, each one max-flow per vertex (exact rationals; the
-  set-partition enumeration it replaced is a test oracle),
+  set-partition enumeration it replaced is a test oracle). The packing
+  number tau is its floor (Nash-Williams 1961, Tutte 1961),
 * constructive tree packing by matroid-union augmentation (polynomial,
-  produces the actual trees),
+  produces the actual trees, the primal witness for tau),
 * the P(k, d) decision: whether k disjoint spanning trees can leave room
   for one more sufficiently large forest. A (k+1)-forest matroid-union
   state seeded with k packed trees refutes by its rank (REFUTED) or finds
@@ -20,6 +21,7 @@ decides a combinatorial branch.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,16 +253,13 @@ def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
 
 
 def tau_packing(g: Graph) -> int:
-    """Packing number via the constructive route: the largest k for
-    which k disjoint spanning trees pack."""
+    """Spanning-tree packing number: floor(nu_f) by Nash-Williams (1961)
+    and Tutte (1961). `pack_spanning_trees(g, tau)` builds the trees; the
+    nu_f partition P, with |E(P)| < (tau+1)(|P|-1), shows that tau+1 do
+    not exist. Disconnected graphs give 0."""
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
-    if not is_connected(g):
-        return 0
-    k = 0
-    while g.m >= (k + 1) * (g.n - 1) and pack_spanning_trees(g, k + 1) is not None:
-        k += 1
-    return k
+    return math.floor(nu_f_exact(g).value)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,6 @@ class SymmetricMatrix:
                         "SHAPE_ERROR", f"asymmetric entries at ({i},{j})"
                     )
 
-    def entry(self, i: int, j: int) -> float:
-        return self.rows[i][j]
-
     def trace(self) -> float:
         return sum(self.rows[i][i] for i in range(self.order))
 

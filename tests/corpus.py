@@ -147,6 +147,49 @@ def enumerate_cuts(g: Graph) -> tuple[int, tuple[frozenset, ...]]:
     return best, tuple(sorted(sides, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
+def _mask_vertices(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def small_cut_scan(g: Graph) -> str:
+    """Oracle for `check_lemma_small_cut`: scan every non-empty proper
+    vertex set. VIOLATIONS when one with boundary <= delta - 1 has at most
+    delta vertices, NO_VIOLATION when some set has that boundary, else
+    VACUOUS."""
+    delta = g.min_degree
+    hits = False
+    for mask in range(1, (1 << g.n) - 1):
+        if boundary_size_mask(g, mask) <= delta - 1:
+            if mask.bit_count() < delta + 1:
+                return "VIOLATIONS"
+            hits = True
+    return "NO_VIOLATION" if hits else "VACUOUS"
+
+
+def induces_connected(g: Graph, mask: int) -> bool:
+    start = (mask & -mask).bit_length() - 1
+    seen = 1 << start
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        fresh = g.adj_bits[u] & mask & ~seen
+        seen |= fresh
+        stack.extend(_mask_vertices(fresh))
+    return seen == mask
+
+
+def connected_cut_scan(g: Graph, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Oracle for the exhaustive phase of `check_cut_lower_bound`: every
+    non-empty proper vertex set that induces a connected subgraph and has
+    boundary <= k, as (sorted vertices, boundary)."""
+    out = []
+    for mask in range(1, (1 << g.n) - 1):
+        cut = boundary_size_mask(g, mask)
+        if cut <= k and induces_connected(g, mask):
+            out.append((_mask_vertices(mask), cut))
+    return out
+
+
 def nu_f_bruteforce(g: Graph) -> FractionalPackingResult:
     """Oracle: min over all vertex partitions (p >= 2) of
     (crossing edges) / (p - 1) by complete restricted-growth enumeration.

@@ -5,7 +5,6 @@ them live); a FAIL line is followed by the failing assertion.
 """
 
 import hashlib
-import math
 import random
 import time
 from fractions import Fraction
@@ -32,7 +31,7 @@ from treecert import (
     tau_packing,
     validate_gt_witness,
 )
-from treecert.packing import remainder_feasible
+from treecert.packing import _is_spanning_tree, remainder_feasible
 from treecert.spectra import build_matrix, mat_scale, matrix_from_rows
 
 from corpus import (
@@ -46,6 +45,7 @@ from corpus import (
     random_connected_graph,
     random_graph,
     shipped_config,
+    small_cut_scan,
     star,
     tau_partition_bruteforce,
 )
@@ -89,13 +89,30 @@ def test_criterion_1_oracle_equivalence(packing_corpus):
     _report(1, ok and elapsed < 60, f"{checks} checks in {elapsed:.1f}s")
 
 
+def _tau_certified(g) -> bool:
+    """tau trees pack (primal), and the nu_f partition P has
+    |E(P)| < (tau+1)(|P|-1), so tau+1 trees do not (dual)."""
+    tau = tau_packing(g)
+    trees = pack_spanning_trees(g, tau)
+    primal = (
+        trees is not None
+        and len(trees) == tau
+        and all(_is_spanning_tree(t, g.n) for t in trees)
+        and len(frozenset().union(*trees)) == tau * (g.n - 1)
+    )
+    part = nu_f_exact(g).partition
+    crossing = sum(1 for u, v in g.edges if not any(u in b and v in b for b in part))
+    return primal and crossing < (tau + 1) * (len(part) - 1)
+
+
 def test_criterion_2_tau_equals_floor_nu_f(packing_corpus):
     ok = all(
-        tau_packing(g) == math.floor(nu_f_exact(g).value)
+        tau_packing(g) == tau_partition_bruteforce(g)
         and nu_f_exact(g).value == nu_f_bruteforce(g).value
+        and _tau_certified(g)
         for g in packing_corpus
     )
-    _report(2, ok, f"{len(packing_corpus)} graphs")
+    _report(2, ok, f"{len(packing_corpus)} graphs, tau certified by trees and partition")
 
 
 def test_criterion_3_sufficient_condition_for_the_packing_property():
@@ -236,9 +253,15 @@ def test_criterion_8_exact_fractional_packing_values():
 
 
 def test_criterion_9_small_cut_order_bound():
-    statuses = [check_lemma_small_cut(g).status for g in desk_corpus(12)]
-    bad = [s for s in statuses if s not in ("NO_VIOLATION", "VACUOUS")]
-    _report(9, not bad, f"{len(statuses)} graphs, {len(bad)} violations")
+    corpus = desk_corpus(12)
+    scanned = [small_cut_scan(g) for g in corpus]
+    bad = [s for s in scanned if s not in ("NO_VIOLATION", "VACUOUS")]
+    mismatches = sum(check_lemma_small_cut(g).status != s for g, s in zip(corpus, scanned))
+    _report(
+        9,
+        not bad and not mismatches,
+        f"{len(corpus)} graphs scanned, {len(bad)} violations, {mismatches} mismatches",
+    )
 
 
 def test_criterion_10_four_component_decomposition():

@@ -1,9 +1,11 @@
 import dataclasses
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from treecert import (
     CertificateRequest,
@@ -13,10 +15,23 @@ from treecert import (
     certify,
     check_cut_lower_bound,
     check_lemma_small_cut,
+    edge_connectivity,
     generate,
 )
 
-from corpus import complete, cycle, random_connected_graph, two_blocks_bridge
+from treecert.graphs import boundary_size_mask
+
+from corpus import (
+    complete,
+    connected_cut_scan,
+    cycle,
+    desk_corpus,
+    graphs,
+    induces_connected,
+    random_connected_graph,
+    small_cut_scan,
+    two_blocks_bridge,
+)
 
 # the package exports the function `certify` under the module's name
 certify_module = importlib.import_module("treecert.certify")
@@ -268,18 +283,32 @@ def test_raising_k_never_certifies_a_hypothesis_failure():
 def test_small_cut_two_blocks_bridge():
     res = check_lemma_small_cut(two_blocks_bridge(5))
     assert res.status == "NO_VIOLATION"
-    assert res.small_cut_sides > 0
 
 
 def test_small_cut_vacuous_cases():
     assert check_lemma_small_cut(complete(5)).status == "VACUOUS"
     assert check_lemma_small_cut(cycle(5)).status == "VACUOUS"
+    assert check_lemma_small_cut(complete(1)).status == "VACUOUS"
 
 
-def test_small_cut_cap():
-    with pytest.raises(ToolError) as err:
-        check_lemma_small_cut(complete(17))
-    assert err.value.code == "TOO_LARGE"
+def _decided_fast(check, g):
+    t0 = time.perf_counter()
+    res = check(g)
+    assert time.perf_counter() - t0 < 1.0
+    return res
+
+
+def test_small_cut_decided_on_large_graphs():
+    # no size cap: K17 and a 200-vertex chain of K20s are decided
+    assert _decided_fast(check_lemma_small_cut, complete(17)).status == "VACUOUS"
+    chain = generate(FamilySpec("clique_chain", {"blocks": 10, "q": 20}))
+    assert _decided_fast(check_lemma_small_cut, chain).status == "NO_VIOLATION"
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(n_min=1, n_max=12, connected=True))
+def test_small_cut_matches_scan_property(g):
+    assert check_lemma_small_cut(g).status == small_cut_scan(g)
 
 
 def test_cut_lower_bound_k7():
@@ -311,8 +340,51 @@ def test_cut_lower_bound_variant_validation():
         check_cut_lower_bound(complete(7), 2, "lemma9.9")
 
 
-def test_cut_lower_bound_cap_guards_enumeration_only():
-    # K17 reaches the exhaustive phase, so the cap fires there
-    with pytest.raises(ToolError) as err:
-        check_cut_lower_bound(complete(17), 2, "lemma2.4")
-    assert err.value.code == "TOO_LARGE"
+def test_cut_lower_bound_decided_on_large_graphs():
+    # no size cap: K17 passes every hypothesis and is decided by kappa'
+    k17 = _decided_fast(lambda g: check_cut_lower_bound(g, 2, "lemma2.4"), complete(17))
+    assert k17.status == "NO_VIOLATION"
+    chain = generate(FamilySpec("clique_chain", {"blocks": 10, "q": 20}))
+    res = _decided_fast(lambda g: check_cut_lower_bound(g, 2, "lemma2.5"), chain)
+    assert res.status == "NOT_APPLICABLE"
+
+
+def _cut_bound_matches_scan(g):
+    for k in (1, 2, 3):
+        scan = connected_cut_scan(g, k)
+        # a connected proper set with boundary <= k exists iff kappa' <= k
+        assert bool(scan) == (edge_connectivity(g)[0] <= k)
+        for variant in ("lemma2.4", "lemma2.5"):
+            res = check_cut_lower_bound(g, k, variant)
+            if res.status in ("NOT_APPLICABLE", "VACUOUS"):
+                continue
+            assert res.status == ("VIOLATIONS" if scan else "NO_VIOLATION")
+            assert set(res.violations) <= set(scan)
+
+
+def test_cut_lower_bound_matches_scan_on_desk_corpus():
+    for g in desk_corpus(12):
+        if g.n > 1:
+            _cut_bound_matches_scan(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(n_min=2, n_max=12, connected=True))
+def test_cut_lower_bound_matches_scan_property(g):
+    _cut_bound_matches_scan(g)
+
+
+def test_cut_lower_bound_violation_branch(monkeypatch):
+    # K6 blocks joined by single edges: kappa' = 1 <= k. The real third
+    # eigenvalue sits below the threshold (VACUOUS above), so report every
+    # eigenvalue above it to reach the decision by kappa'.
+    g = generate(FamilySpec("clique_chain", {"blocks": 3, "q": 6, "links": 1}))
+    monkeypatch.setattr(certify_module, "inertia", lambda g, a, b, theta: (g.n, 0, 0))
+    res = check_cut_lower_bound(g, 2, "lemma2.4")
+    assert res.status == "VIOLATIONS"
+    assert connected_cut_scan(g, 2)
+    (side, cut), = res.violations
+    mask = sum(1 << v for v in side)
+    assert 0 < len(side) < g.n
+    assert induces_connected(g, mask)
+    assert cut == boundary_size_mask(g, mask) <= 2
