@@ -32,7 +32,7 @@ from .packing import (
     tau_packing,
     verify_pkd_witness,
 )
-from .spectra import DEFAULT_TOL, spectral_profile
+from .spectra import spectral_profile
 
 
 def _load_graph(path: str) -> Graph:
@@ -58,7 +58,7 @@ def _cmd_spectrum(args) -> int:
     g = _load_graph(args.input)
     a = _rat(args.a, "a")
     b = _rat(args.b, "b")
-    profile = spectral_profile(g, a, b, tol=args.tol)
+    profile = spectral_profile(g, a, b)
     _emit({"a": float(a), "b": float(b), "eigenvalues": list(profile.eigenvalues)})
     return 0
 
@@ -176,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--a", default="1", help="rational, default 1 (Laplacian)")
     p.add_argument("--b", default="-1", help="rational, default -1 (Laplacian)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("nu-f", help="exact fractional packing number")

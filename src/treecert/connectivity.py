@@ -107,6 +107,42 @@ def _closure(out: list[int], mask: int) -> int:
     return seen
 
 
+def _list_sides(n: int, t: int, cap: list[dict[int, int]], cuts: list[int]) -> bool:
+    """Append to `cuts` the side masks listed at t, read off the residual
+    capacities `cap` of a maximum 0-t flow; False once the listing passes
+    SIDE_OUTPUT_CAP listed vertex entries."""
+    out = [0] * n
+    into = [0] * n
+    for x in range(n):
+        for y, c in cap[x].items():
+            if c > 0:
+                out[x] |= 1 << y
+                into[y] |= 1 << x
+    forced = _closure(out, (1 << t) - 1)
+    if forced >> t & 1:
+        return True
+    taken = forced | _closure(into, 1 << t)
+    free = [v for v in range(t + 1, n) if not taken >> v & 1]
+    reach: dict[int, int] = {}
+    stack = [(0, forced, 0)]
+    while stack:
+        i, side, banned = stack.pop()
+        while i < len(free) and side >> free[i] & 1:
+            i += 1
+        if i == len(free):
+            cuts.append(side)
+            if len(cuts) * n > SIDE_OUTPUT_CAP:
+                return False
+            continue
+        v = free[i]
+        stack.append((i + 1, side, banned | 1 << v))
+        if v not in reach:
+            reach[v] = _closure(out, 1 << v)
+        if not reach[v] & banned:
+            stack.append((i + 1, side | reach[v], banned))
+    return True
+
+
 @lru_cache(maxsize=512)
 def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
     """Every non-empty proper vertex set whose boundary equals kappa'(G),
@@ -121,54 +157,36 @@ def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
     (outside the forced part R({0..t-1}), not reaching t) in order: the
     exclude branch bans v, the include branch adds R(v) only when R(v)
     holds no banned vertex. Every branch ends in a distinct side, so the
-    work is polynomial in the output. Past SIDE_OUTPUT_CAP listed vertex
-    entries the listing stops with TOO_LARGE.
+    work is polynomial in the output.
+
+    One pass of 0-t flows finds kappa' and the sides together: each flow
+    stops at the best value so far plus one (kappa' <= delta starts it),
+    the sides are listed at every t whose flow equals that best, and a
+    smaller flow discards them. Past SIDE_OUTPUT_CAP listed vertex entries
+    at the final kappa' the listing stops with TOO_LARGE.
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "minimum-cut sides need a connected graph")
     n = g.n
-    kappa, _ = _min_cut_flow(g)
-    full = (1 << n) - 1
+    best = g.min_degree
     cuts: list[int] = []
+    fits = True
     for t in range(1, n):
         cap = _unit_network(g)
-        flow, _ = max_flow(cap, 0, t, stop=kappa + 1)
-        if flow > kappa:
+        flow, _ = max_flow(cap, 0, t, stop=best + 1)
+        if flow > best:
             continue
-        out = [0] * n
-        into = [0] * n
-        for x in range(n):
-            for y, c in cap[x].items():
-                if c > 0:
-                    out[x] |= 1 << y
-                    into[y] |= 1 << x
-        forced = _closure(out, (1 << t) - 1)
-        if forced >> t & 1:
-            continue
-        taken = forced | _closure(into, 1 << t)
-        free = [v for v in range(t + 1, n) if not taken >> v & 1]
-        reach: dict[int, int] = {}
-        stack = [(0, forced, 0)]
-        while stack:
-            i, side, banned = stack.pop()
-            while i < len(free) and side >> free[i] & 1:
-                i += 1
-            if i == len(free):
-                cuts.append(side)
-                if len(cuts) * n > SIDE_OUTPUT_CAP:
-                    raise ToolError(
-                        "TOO_LARGE",
-                        f"minimum-cut sides exceed {SIDE_OUTPUT_CAP} listed vertices",
-                    )
-                continue
-            v = free[i]
-            stack.append((i + 1, side, banned | 1 << v))
-            if v not in reach:
-                reach[v] = _closure(out, 1 << v)
-            if not reach[v] & banned:
-                stack.append((i + 1, side | reach[v], banned))
+        if flow < best:
+            best, cuts, fits = flow, [], True
+        if fits:
+            fits = _list_sides(n, t, cap, cuts)
+    if not fits:
+        raise ToolError(
+            "TOO_LARGE", f"minimum-cut sides exceed {SIDE_OUTPUT_CAP} listed vertices"
+        )
+    full = (1 << n) - 1
     sides = [_mask_to_set(s) for s in cuts] + [_mask_to_set(full ^ s) for s in cuts]
     return tuple(sorted(sides, key=_canon_key))
 

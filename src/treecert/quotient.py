@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ToolError
 from .graphs import Graph, VertexSet, validate_partition
-from .spectra import DEFAULT_TOL, SymmetricMatrix, mat_add, matrix_from_rows, sym_eigenvalues
+from .spectra import SymmetricMatrix, mat_add, matrix_from_rows, sym_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class QuotientMatrix:
             rows.append(row)
         return matrix_from_rows(rows)
 
-    def eigenvalues(self, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
-        return sym_eigenvalues(self.symmetrized(), tol)
+    def eigenvalues(self) -> tuple[float, ...]:
+        return sym_eigenvalues(self.symmetrized())
 
 
 def quotient_laplacian(g: Graph, partition) -> QuotientMatrix:

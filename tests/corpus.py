@@ -285,6 +285,44 @@ def exists_good_forest_bruteforce(n: int, edges, d: int) -> bool:
     return rec(0, [])
 
 
+def jacobi_eigenvalues(m) -> tuple[float, ...]:
+    """Accuracy oracle: all eigenvalues of the SymmetricMatrix m by cyclic
+    Jacobi rotations, sorted non-increasing. Converged once the
+    off-diagonal Frobenius norm is at most 1e-13 times that of m; by
+    Weyl's inequality every diagonal entry is then within that norm of an
+    eigenvalue."""
+    n = m.order
+    a = [list(r) for r in m.rows]
+    threshold = 1e-13 * m.frobenius_norm()
+
+    def off_norm() -> float:
+        return math.sqrt(2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
+
+    for _ in range(100):
+        if off_norm() <= threshold:
+            return tuple(sorted((a[i][i] for i in range(n)), reverse=True))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+    raise AssertionError("Jacobi oracle not converged after 100 sweeps")
+
+
 def desk_corpus(max_n: int, include_random: bool = True):
     """Named small graphs plus seeded random connected graphs, all with
     at most max_n vertices."""

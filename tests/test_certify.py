@@ -347,6 +347,12 @@ def test_cut_lower_bound_decided_on_large_graphs():
     chain = generate(FamilySpec("clique_chain", {"blocks": 10, "q": 20}))
     res = _decided_fast(lambda g: check_cut_lower_bound(g, 2, "lemma2.5"), chain)
     assert res.status == "NOT_APPLICABLE"
+    # lemma2.4 applies, so the n = 200 spectrum behind `measured` and the
+    # exact inertia both run: about 1.4 s on 2 cores, hence the 3x bound
+    t0 = time.perf_counter()
+    res = check_cut_lower_bound(chain, 2, "lemma2.4")
+    assert time.perf_counter() - t0 < 4.5
+    assert res.status == "VACUOUS"
 
 
 def _cut_bound_matches_scan(g):

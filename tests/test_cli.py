@@ -194,8 +194,9 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     param_path = tmp_path / "param.json"
     param_path.write_text(json.dumps({**cfg, "families": [{"family": "complete", "params": {"n": "5"}}]}))
     cases = [
-        (["spectrum", "--input", graph_file(K4), "--tol", "inf"], "PARAMETER_ERROR"),
-        (["spectrum", "--input", graph_file(K4), "--tol", "nan"], "PARAMETER_ERROR"),
+        # a*deg overflows to inf; 1e400 overflows the float conversion itself
+        (["spectrum", "--input", graph_file(K4), "--a", "1e308"], "NON_FINITE"),
+        (["spectrum", "--input", graph_file(K4), "--a", "1e400"], "NON_FINITE"),
         (
             ["certify", "--input", graph_file(k13), "--theorem", "thm5.1", "--k", "2",
              "--cross-verify"],
@@ -209,11 +210,16 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "", argv
         assert code_name in err, argv
-    # decisions are exact: there is no tolerance flag, so argparse exits 2
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
-              "--decision-tol", "1e-8"])
-    assert exc.value.code == 2
+    # decisions are exact and the eigensolver has no convergence tolerance:
+    # neither flag exists, so argparse exits 2
+    for argv in (
+        ["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
+         "--decision-tol", "1e-8"],
+        ["spectrum", "--input", graph_file(K4), "--tol", "1e-8"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_missing_file_exit_2(capsys):

@@ -15,9 +15,10 @@ from treecert import (
     spectral_profile,
     sym_eigenvalues,
 )
+from treecert import spectra
 from treecert.spectra import matrix_from_rows
 
-from corpus import complete, cycle, graphs, path, random_graph
+from corpus import complete, cycle, graphs, jacobi_eigenvalues, path, random_graph, star
 
 TOL = 1e-9
 
@@ -126,12 +127,62 @@ def test_profile_index_bounds():
         prof.kth_smallest(0)
 
 
-def test_tol_must_be_positive():
-    # inf used to return the unrotated diagonal, NaN to run out of sweeps
-    for tol in (0.0, float("inf"), float("nan")):
+def test_non_finite_entries_rejected():
+    # checked before symmetry: an off-diagonal NaN never equals its mirror
+    inf, nan = float("inf"), float("nan")
+    for rows in (
+        [[inf, 1.0], [1.0, 0.0]],
+        [[0.0, inf], [inf, 0.0]],
+        [[nan, 1.0], [1.0, 0.0]],
+        [[0.0, nan], [nan, 0.0]],
+        [[0.0, nan], [1.0, 0.0]],
+    ):
         with pytest.raises(ToolError) as err:
-            sym_eigenvalues(build_matrix(complete(3), 1, -1), tol=tol)
-        assert err.value.code == "PARAMETER_ERROR"
+            matrix_from_rows(rows)
+        assert err.value.code == "NON_FINITE"
+
+
+def test_no_convergence_past_iteration_cap(monkeypatch):
+    m = build_matrix(path(3), 1, -1)
+    monkeypatch.setattr(spectra, "MAX_QL_ITERATIONS", 0)
+    with pytest.raises(ToolError) as err:
+        sym_eigenvalues(m)
+    assert err.value.code == "NO_CONVERGENCE"
+    # a diagonal matrix needs no iteration at all
+    assert sym_eigenvalues(matrix_from_rows([[1.0, 0.0], [0.0, 3.0]])) == (3.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+    a=_rationals,
+    b=_rationals,
+)
+def test_matches_jacobi_oracle(n, p, seed, a, b):
+    g = generate(FamilySpec("gnp", {"n": n, "p": p}, seed=seed))
+    m = build_matrix(g, float(a), float(b))
+    got = sym_eigenvalues(m)
+    assert close(got, jacobi_eigenvalues(m), tol=1e-12 * (1 + m.frobenius_norm()))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_closed_form_spectra_large(n):
+    cases = [
+        (build_matrix(cycle(n), 0, 1), [2 * math.cos(2 * math.pi * j / n) for j in range(n)]),
+        (build_matrix(path(n), 1, -1), [2 - 2 * math.cos(math.pi * j / n) for j in range(n)]),
+        (build_matrix(complete(n), 1, -1), [float(n)] * (n - 1) + [0.0]),
+        (build_matrix(star(n - 1), 1, -1), [float(n)] + [1.0] * (n - 2) + [0.0]),
+    ]
+    for m, want in cases:
+        assert close(sym_eigenvalues(m), sorted(want, reverse=True), tol=1e-10)
+
+
+def test_diagonal_and_order_one():
+    m = matrix_from_rows([[2.0, 0.0, 0.0], [0.0, -5.0, 0.0], [0.0, 0.0, 7.5]])
+    assert sym_eigenvalues(m) == (7.5, 2.0, -5.0)
+    assert sym_eigenvalues(matrix_from_rows([[-3.25]])) == (-3.25,)
 
 
 def test_trace_identity_random_graphs():
