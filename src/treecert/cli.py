@@ -7,8 +7,8 @@ INCONCLUSIVE.
 
 `verify-pkd` settles P(k, d) by a seeded matroid-union decision: the union
 rank refutes, the complement of the seeded trees finds a witness, and only
-the left-over case runs the exhaustive k-packing enumeration under
-`--budget`, the one source of INCONCLUSIVE.
+the left-over case tries each d-edge subtree frozen in the extra forest,
+at most `--budget` of them, the one source of INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -196,7 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help=f"most d-edge subtrees to try (>= 1, default {DEFAULT_BUDGET})",
+    )
     p.set_defaults(func=_cmd_verify_pkd)
 
     p = sub.add_parser("certify", help="evaluate one sufficient condition")

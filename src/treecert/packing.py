@@ -11,9 +11,12 @@ Three routes live here, one per quantity:
 * the P(k, d) decision: whether k disjoint spanning trees can leave room
   for one more sufficiently large forest. A (k+1)-forest matroid-union
   state seeded with k packed trees refutes by its rank (REFUTED) or finds
-  the forest in the complement of those trees (FOUND); only what is left
-  runs the budgeted enumeration of every k-packing, the one source of
-  INCONCLUSIVE.
+  the forest in the complement of those trees (FOUND). What is left is
+  decided exactly by freezing each d-edge subtree T0 in the last forest
+  (Edmonds 1965, matroid partition): one polynomial union per T0, so the
+  search is exponential only in d. A budget on the T0s tried is the one
+  source of INCONCLUSIVE; the k-packing enumeration it replaced is a test
+  oracle.
 
 All threshold comparisons are integer/rational; floating point never
 decides a combinatorial branch.
@@ -31,7 +34,7 @@ from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_wi
 from .errors import ToolError
 from .graphs import Edge, Graph, VertexSet, components, edge, is_connected
 
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_BUDGET = 100_000  # d-edge subtrees tried by search_pkd_witness
 
 
 @dataclass(frozen=True)
@@ -145,19 +148,30 @@ def _attack(g: Graph, lam: Fraction) -> tuple[bool, list[int]]:
 
 
 class _Forests:
-    """k edge-disjoint forests with per-forest adjacency for path queries."""
+    """Edge-disjoint forests with per-forest adjacency for path queries.
 
-    def __init__(self, k: int, n: int):
-        self.k = k
-        self.n = n
+    Frozen edges are never moved out of their forest. A forest holding a
+    frozen subtree T0 is therefore the graphic matroid of g with V(T0)
+    contracted: the circuit of a new edge is its forest path minus T0.
+    """
+
+    def __init__(self, k: int):
         self.adj: list[dict[int, set[int]]] = [{} for _ in range(k)]
         self.owner: dict[Edge, int] = {}
+        self.frozen: frozenset[Edge] = frozenset()
 
     def add(self, i: int, e: Edge) -> None:
         u, v = e
         self.adj[i].setdefault(u, set()).add(v)
         self.adj[i].setdefault(v, set()).add(u)
         self.owner[e] = i
+
+    def add_frozen_forest(self, frozen: frozenset[Edge]) -> None:
+        """Append one more forest, holding the frozen edges."""
+        self.adj.append({})
+        self.frozen = frozen
+        for e in frozen:
+            self.add(len(self.adj) - 1, e)
 
     def remove(self, i: int, e: Edge) -> None:
         u, v = e
@@ -197,7 +211,7 @@ class _Forests:
         while dq:
             f = dq.popleft()
             u, v = f
-            for i in range(self.k):
+            for i in range(len(self.adj)):
                 if self.owner.get(f) == i:
                     continue
                 path = self.path_edges(i, u, v)
@@ -214,16 +228,41 @@ class _Forests:
                         cur, dest = info
                     return True
                 for h in path:
-                    if h not in pred:
+                    if h not in pred and h not in self.frozen:
                         pred[h] = (f, i)
                         dq.append(h)
         return False
 
+    def insert_all(self, edges, cap: int) -> int:
+        """Offer each unplaced edge once, in order, stopping after `cap`
+        insertions; returns how many went in. An edge the union rejects
+        stays rejected as the forests grow, so one pass reaches the union
+        rank."""
+        placed = 0
+        for e in edges:
+            if placed == cap:
+                break
+            if e not in self.owner and self.try_insert(e):
+                placed += 1
+        return placed
+
     def edge_sets(self) -> list[frozenset[Edge]]:
-        out: list[set[Edge]] = [set() for _ in range(self.k)]
+        out: list[set[Edge]] = [set() for _ in self.adj]
         for e, i in self.owner.items():
             out[i].add(e)
         return [frozenset(s) for s in out]
+
+
+def _pack(g: Graph, k: int, skip: frozenset[Edge] = frozenset()) -> _Forests | None:
+    """k edge-disjoint spanning trees of g minus `skip` as a k-forest union
+    state, or None exactly when they do not exist."""
+    target = k * (g.n - 1)
+    if g.m - len(skip) < target:
+        return None
+    forests = _Forests(k)
+    if forests.insert_all((e for e in g.sorted_edges() if e not in skip), target) < target:
+        return None
+    return forests
 
 
 def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
@@ -233,17 +272,8 @@ def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 1, got {k}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "tree packing needs a connected graph")
-    target = k * (g.n - 1)
-    if g.m < target:
-        return None
-    forests = _Forests(k, g.n)
-    placed = 0
-    for e in g.sorted_edges():
-        if forests.try_insert(e):
-            placed += 1
-            if placed == target:
-                break
-    if placed < target:
+    forests = _pack(g, k)
+    if forests is None:
         return None
     trees = tuple(forests.edge_sets())
     for t in trees:
@@ -368,41 +398,61 @@ def verify_pkd_witness(g: Graph, w: PackingWitness) -> list[str]:
     return violations
 
 
-class _Found(Exception):
-    def __init__(self, witness):
-        self.witness = witness
+def _seeded_union(
+    g: Graph, k: int, t0: frozenset[Edge] = frozenset()
+) -> tuple[list[frozenset[Edge]], frozenset[Edge]] | None:
+    """k spanning trees of g - t0 seed a (k+1)-forest matroid-union state
+    whose last forest starts as t0, frozen; every other edge is offered
+    once. Returns the trees and the last forest, or None when g - t0 does
+    not pack k trees.
+
+    Augmenting chains swap edges one for one and grow only the last forest,
+    so the trees stay spanning and that forest ends with
+    |t0| + R - k(n-1) edges, R the rank of the union of k graphic matroids
+    of g - t0 and that of g with V(t0) contracted. Any k spanning trees of
+    g - t0 plus any forest F containing t0 are independent in that union,
+    so no such F is larger.
+    """
+    n = g.n
+    forests = _pack(g, k, t0)
+    if forests is None:
+        return None
+    forests.add_frozen_forest(t0)
+    forests.insert_all(g.sorted_edges(), n - 1 - len(t0))
+    *trees, forest = forests.edge_sets()
+    if not all(_is_spanning_tree(t, n) for t in trees):
+        raise ToolError("INTERNAL", "augmentation broke a seeded tree")
+    return trees, forest
 
 
-class _OutOfBudget(Exception):
-    pass
+def _subtrees(g: Graph, d: int):
+    """Every d-edge subtree of g exactly once, as a set of edges.
 
-
-class _TreeDSU:
-    """Union-find without path compression so unions roll back in O(1)."""
-
-    __slots__ = ("parent", "trail")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.trail: list[int] = []
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        self.trail.append(ru)
-        return True
-
-    def undo(self) -> None:
-        ru = self.trail.pop()
-        self.parent[ru] = ru
+    A subtree is rooted at its smallest edge and grown only by larger
+    edges. Each step branches on the smallest frontier edge (one end in the
+    tree, not dropped): take it, or drop it for good. The two branches list
+    disjoint subtrees, and each subtree is reached by taking its own
+    frontier edges and dropping the others.
+    """
+    edges = g.sorted_edges()
+    index = {e: j for j, e in enumerate(edges)}
+    for r, root in enumerate(edges):
+        stack = [((r,), frozenset(root), frozenset())]  # edges, vertices, dropped
+        while stack:
+            tree, verts, dropped = stack.pop()
+            if len(tree) == d:
+                yield frozenset(edges[j] for j in tree)
+                continue
+            frontier = [
+                j
+                for u in verts
+                for w in g.adjacency[u]
+                if w not in verts and (j := index[edge(u, w)]) > r and j not in dropped
+            ]
+            if frontier:
+                j = min(frontier)
+                stack.append((tree, verts, dropped | {j}))
+                stack.append((tree + (j,), verts | set(edges[j]), dropped))
 
 
 def search_pkd_witness(
@@ -411,117 +461,52 @@ def search_pkd_witness(
     """Decide whether k disjoint spanning trees plus a qualifying extra
     forest exist.
 
-    k packed trees seed a (k+1)-forest matroid-union state, augmented with
-    every other edge. Augmenting chains swap edges one for one and grow
-    only the last forest, so the trees stay spanning and that forest ends
-    with f = R - k(n-1) edges, R the union rank. Any k trees plus any
-    forest F are k+1 disjoint forests, so |F| <= f: d*f <= (d-1)(n-1)
-    settles REFUTED. Otherwise, if the complement of the seeded trees
-    passes `remainder_feasible`, FOUND. What is left falls back to the
-    budgeted enumeration of every k-packing, the only source of
-    INCONCLUSIVE; the first two stages report nodes = 0. FOUND always
-    carries a verified witness.
+    Stage 1: `_seeded_union` with no frozen edges gives the largest extra
+    forest size f over all k-packings; d*f <= (d-1)(n-1) settles REFUTED.
+    Stage 2: if the complement of the seeded trees passes
+    `remainder_feasible`, FOUND. Both report nodes = 0.
+
+    What is left has d < n - 1 (for d >= n - 1 only a spanning forest
+    qualifies, and stage 1 or 2 settles it), so condition C holds exactly
+    when F contains a d-edge subtree T0. Stage 3 runs `_seeded_union` once
+    per T0 from `_subtrees`: FOUND as soon as the last forest, which
+    contains T0, clears the size bound, REFUTED when no T0 does. `nodes`
+    counts the T0s tried; past `budget` of them the verdict is
+    INCONCLUSIVE. FOUND always carries a verified witness.
     """
     if k < 1 or d < 1:
         raise ToolError("PARAMETER_ERROR", "k and d must be >= 1")
+    if budget < 1:
+        raise ToolError("PARAMETER_ERROR", f"budget must be >= 1, got {budget}")
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the search needs a connected graph")
 
-    trees = pack_spanning_trees(g, k)
-    if trees is None:
-        return PkdSearchResult("REFUTED", None, 0)
     n = g.n
-    forests = _Forests(k + 1, n)
-    for i, t in enumerate(trees):
-        for e in t:
-            forests.add(i, e)
-    extra = 0
-    for e in g.sorted_edges():
-        if e not in forests.owner and forests.try_insert(e):
-            extra += 1
-            if extra == n - 1:  # the extra forest spans
-                break
-    seeded = forests.edge_sets()[:k]
-    if not all(_is_spanning_tree(t, n) for t in seeded):
-        raise ToolError("INTERNAL", "augmentation broke a seeded tree")
-    if d * extra <= (d - 1) * (n - 1):
+    seeded = _seeded_union(g, k)
+    if seeded is None:
         return PkdSearchResult("REFUTED", None, 0)
-    remainder = g.edges.difference(*seeded)
+    trees, forest = seeded
+    if d * len(forest) <= (d - 1) * (n - 1):
+        return PkdSearchResult("REFUTED", None, 0)
+    remainder = g.edges.difference(*trees)
     if remainder_feasible(n, remainder, d):
-        return PkdSearchResult("FOUND", _build_witness(g, seeded, remainder, k, d), 0)
-    return _enumerate_packings(g, k, d, budget)
+        forest = spanning_forest(n, remainder)
+        return PkdSearchResult("FOUND", _build_witness(g, trees, forest, k, d), 0)
+    tried = 0
+    for t0 in _subtrees(g, d):
+        if tried == budget:
+            return PkdSearchResult("INCONCLUSIVE", None, tried)
+        tried += 1
+        seeded = _seeded_union(g, k, t0)
+        if seeded is not None and d * len(seeded[1]) > (d - 1) * (n - 1):
+            return PkdSearchResult("FOUND", _build_witness(g, *seeded, k, d), tried)
+    return PkdSearchResult("REFUTED", None, tried)
 
 
-def _enumerate_packings(g: Graph, k: int, d: int, budget: int) -> PkdSearchResult:
-    """Enumerate every k-packing, checking whether the leftover edges can
-    host the forest. Trees are built as increasing edge-index sequences
-    with strictly increasing first edges across the trees, so each
-    unordered packing appears exactly once. Past `budget` nodes the verdict
-    is INCONCLUSIVE."""
-    edges = g.sorted_edges()
-    m = len(edges)
-    n = g.n
-    need = n - 1
-    used = [False] * m
-    tree_edges: list[list[int]] = [[] for _ in range(k)]
-    dsus = [_TreeDSU(n) for _ in range(k)]
-    nodes = [0]
-
-    def tick() -> None:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise _OutOfBudget
-
-    def start_tree(ti: int, min_first: int) -> None:
-        tick()
-        if ti == k:
-            remainder = [edges[j] for j in range(m) if not used[j]]
-            if remainder_feasible(n, remainder, d):
-                trees = [frozenset(edges[j] for j in idxs) for idxs in tree_edges]
-                raise _Found(_build_witness(g, trees, remainder, k, d))
-            return
-        unused = [edges[j] for j in range(m) if not used[j]]
-        if len(_union_edges(n, unused)[1]) < need:  # the unused edges do not span
-            return
-        dsus[ti] = _TreeDSU(n)
-        grow(ti, min_first, 0)
-
-    def grow(ti: int, pos: int, cnt: int) -> None:
-        tick()
-        if cnt == need:
-            start_tree(ti + 1, tree_edges[ti][0] + 1)
-            return
-        dsu = dsus[ti]
-        for j in range(pos, m):
-            if m - j < need - cnt:
-                break
-            if used[j]:
-                continue
-            u, v = edges[j]
-            if not dsu.union(u, v):
-                continue
-            used[j] = True
-            tree_edges[ti].append(j)
-            grow(ti, j + 1, cnt + 1)
-            tree_edges[ti].pop()
-            used[j] = False
-            dsu.undo()
-
-    try:
-        start_tree(0, 0)
-    except _Found as hit:
-        return PkdSearchResult("FOUND", hit.witness, nodes[0])
-    except _OutOfBudget:
-        return PkdSearchResult("INCONCLUSIVE", None, nodes[0])
-    return PkdSearchResult("REFUTED", None, nodes[0])
-
-
-def _build_witness(g: Graph, trees, remainder, k: int, d: int) -> PackingWitness:
-    w = PackingWitness(
-        trees=tuple(trees), forest=spanning_forest(g.n, remainder), k=k, d=d
-    )
+def _build_witness(g: Graph, trees, forest, k: int, d: int) -> PackingWitness:
+    w = PackingWitness(trees=tuple(trees), forest=forest, k=k, d=d)
     bad = verify_pkd_witness(g, w)
     if bad:
         raise ToolError("INTERNAL", f"search built an invalid witness: {bad}")

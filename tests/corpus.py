@@ -27,6 +27,7 @@ from treecert import (
     is_connected,
 )
 from treecert.graphs import boundary_size_mask
+from treecert.packing import remainder_feasible
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
 
@@ -283,6 +284,88 @@ def exists_good_forest_bruteforce(n: int, edges, d: int) -> bool:
         return is_forest(cand) and rec(i + 1, cand)
 
     return rec(0, [])
+
+
+class _RollbackDSU:
+    """Union-find without path compression so unions roll back in O(1)."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.trail: list[int] = []
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, u: int, v: int) -> bool:
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.parent[ru] = rv
+        self.trail.append(ru)
+        return True
+
+    def undo(self) -> None:
+        ru = self.trail.pop()
+        self.parent[ru] = ru
+
+
+class _Verdict(Exception):
+    def __init__(self, status: str):
+        self.status = status
+
+
+def enumerate_packings(g: Graph, k: int, d: int, budget=math.inf) -> tuple[str, int]:
+    """Oracle for `search_pkd_witness`: enumerate every k-packing and ask
+    `remainder_feasible` whether the leftover edges host the forest.
+    Trees are built as increasing edge-index sequences with strictly
+    increasing first edges across the trees, so each unordered packing
+    appears exactly once. Returns the verdict and the nodes visited; past
+    `budget` nodes the verdict is INCONCLUSIVE."""
+    edges = g.sorted_edges()
+    m, n, need = len(edges), g.n, g.n - 1
+    used = [False] * m
+    nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Verdict("INCONCLUSIVE")
+
+    def start_tree(ti: int, min_first: int) -> None:
+        tick()
+        unused = [edges[j] for j in range(m) if not used[j]]
+        if ti == k:
+            if remainder_feasible(n, unused, d):
+                raise _Verdict("FOUND")
+            return
+        spans = _RollbackDSU(n)
+        if sum(spans.union(u, v) for u, v in unused) < need:
+            return
+        grow(ti, _RollbackDSU(n), min_first, 0, None)
+
+    def grow(ti: int, dsu: _RollbackDSU, pos: int, cnt: int, first) -> None:
+        tick()
+        if cnt == need:
+            start_tree(ti + 1, first + 1)
+            return
+        for j in range(pos, m):
+            if m - j < need - cnt:
+                break
+            if used[j] or not dsu.union(*edges[j]):
+                continue
+            used[j] = True
+            grow(ti, dsu, j + 1, cnt + 1, j if first is None else first)
+            used[j] = False
+            dsu.undo()
+
+    try:
+        start_tree(0, 0)
+    except _Verdict as verdict:
+        return verdict.status, nodes
+    return "REFUTED", nodes
 
 
 def jacobi_eigenvalues(m) -> tuple[float, ...]:

@@ -121,8 +121,9 @@ def test_verify_pkd_refuted(capsys, graph_file):
 
 
 def test_verify_pkd_inconclusive_exit_code(capsys, graph_file):
-    # the seeded packing leaves components too small for d = 4, so the
-    # one-node budget stops the enumeration fallback
+    # the seeded packing leaves components too small for d = 4, and the
+    # first d-edge subtree tried does not settle it, so a budget of one
+    # subtree stops the search
     code, out, _ = run(
         capsys,
         ["verify-pkd", "--input", graph_file(FALLBACK), "--k", "1", "--d", "4",
@@ -193,6 +194,7 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     typo_path.write_text(json.dumps({**cfg, "families": [{**cfg["families"][0], "trials": "2"}]}))
     param_path = tmp_path / "param.json"
     param_path.write_text(json.dumps({**cfg, "families": [{"family": "complete", "params": {"n": "5"}}]}))
+    k4 = graph_file(K4, "k4.txt")
     cases = [
         # a*deg overflows to inf; 1e400 overflows the float conversion itself
         (["spectrum", "--input", graph_file(K4), "--a", "1e308"], "NON_FINITE"),
@@ -203,6 +205,8 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
             "TOO_LARGE",
         ),
         (["experiment", "--config", str(cfg_path), "--jobs", "0"], "CONFIG_ERROR"),
+        (["verify-pkd", "--input", k4, "--k", "1", "--d", "2", "--budget", "0"], "PARAMETER_ERROR"),
+        (["verify-pkd", "--input", k4, "--k", "1", "--d", "2", "--budget", "-5"], "PARAMETER_ERROR"),
         (["experiment", "--config", str(typo_path)], "CONFIG_ERROR"),
         (["experiment", "--config", str(param_path)], "CONFIG_ERROR"),
     ]

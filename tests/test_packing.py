@@ -1,14 +1,17 @@
-import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from treecert import (
+    FamilySpec,
     PackingWitness,
     ToolError,
     build_graph,
+    generate,
     lemma41_decompose,
     lemma41_gadget_fixture,
     nu_f_exact,
@@ -19,9 +22,10 @@ from treecert import (
 )
 from treecert.packing import (
     PkdSearchResult,
-    _enumerate_packings,
     _is_forest,
     _is_spanning_tree,
+    _seeded_union,
+    _subtrees,
     remainder_feasible,
     spanning_forest,
 )
@@ -31,6 +35,7 @@ from corpus import (
     clique_chains,
     complete,
     cycle,
+    enumerate_packings,
     graphs,
     nu_f_bruteforce,
     path,
@@ -263,18 +268,22 @@ def test_search_seeded_route_settles_without_enumeration():
 
 # Vertex 0 joins every vertex, 1-5 is a pendant edge and 2, 3, 4 a
 # triangle: tau = 1 and the seeded tree leaves a big enough remainder whose
-# components are too small for d = 4, so only the enumeration settles it.
+# components are too small for d = 4, so only the subtree route settles it.
 FALLBACK_GRAPH = build_graph(
     6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)]
 )
 
 
-def test_search_found_by_enumeration():
+def clique_chain(blocks, q, links):
+    return generate(FamilySpec("clique_chain", {"blocks": blocks, "q": q, "links": links}))
+
+
+def test_search_found_by_subtree_route():
     g = FALLBACK_GRAPH
     assert tau_partition_bruteforce(g) == 1
     res = search_pkd_witness(g, 1, 4)
     assert res.status == "FOUND"
-    assert res.nodes > 0  # really went through the enumeration
+    assert res.nodes > 0  # really went through the subtree route
     assert verify_pkd_witness(g, res.witness) == []
 
 
@@ -285,10 +294,34 @@ def test_search_budget_exhaustion():
     assert res.nodes > 0
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_rejects_budget_below_one(budget):
+    with pytest.raises(ToolError) as err:
+        search_pkd_witness(FALLBACK_GRAPH, 1, 4, budget=budget)
+    assert err.value.code == "PARAMETER_ERROR"
+
+
+def test_subtree_route_found_where_enumeration_needs_millions():
+    # the k-packing enumeration needed 51.7 M nodes here
+    g = build_graph(9, [(0, 1), (0, 5), (0, 6), (0, 8), (1, 2), (1, 3), (1, 4), (1, 5),
+                        (1, 6), (1, 7), (2, 3), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5),
+                        (3, 6), (3, 7), (3, 8), (4, 8), (5, 6), (5, 7), (6, 7)])
+    res = search_pkd_witness(g, 2, 7, budget=20_000)
+    assert res.status == "FOUND" and res.nodes > 0
+    assert verify_pkd_witness(g, res.witness) == []
+
+
+def test_subtree_route_refutes_where_enumeration_is_inconclusive():
+    # the enumeration is still INCONCLUSIVE after 5 M nodes
+    res = search_pkd_witness(clique_chain(3, 5, 1), 1, 5)
+    assert res.status == "REFUTED" and res.nodes > 0
+
+
 def test_seeded_decision_matches_enumeration():
-    """The seeded matroid-union verdict equals the full canonical
-    enumeration (unlimited budget) on every connected graph with n <= 5 and
-    on random connected graphs with n <= 9, for k in {1, 2} and d in 1..5."""
+    """The seeded verdict, with the subtree route behind it, equals the
+    full canonical enumeration (unlimited budget) on every connected graph
+    with n <= 5 and on random connected graphs with n <= 9, for k in
+    {1, 2} and d in 1..5."""
     rng = random.Random(9)
     randoms = []
     while len(randoms) < 150:
@@ -297,23 +330,82 @@ def test_seeded_decision_matches_enumeration():
             randoms.append(g)
     sample = [g for n in range(2, 6) for g in all_connected_graphs(n)] + randoms
     # known fallback cases: the seeded trees leave a forest of the right
-    # size whose components are too small
+    # size whose components are too small; the clique chain is REFUTED at
+    # k = 1, d = 4 after 86 subtrees
     sample.append(FALLBACK_GRAPH)
     sample.append(
         build_graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
                         (2, 5), (2, 6), (3, 5), (4, 6)])
     )
-    fallbacks = 0
+    sample.append(clique_chain(2, 4, 1))
+    fallbacks = Counter()
     for g in sample:
         for k in (1, 2):
             for d in range(1, 6):
                 res = search_pkd_witness(g, k, d)
-                oracle = _enumerate_packings(g, k, d, budget=math.inf)
-                assert res.status == oracle.status, (g, sorted(g.edges), k, d)
+                oracle, _ = enumerate_packings(g, k, d)
+                assert res.status == oracle, (g, sorted(g.edges), k, d)
                 if res.witness is not None:
                     assert verify_pkd_witness(g, res.witness) == []
-                fallbacks += res.nodes > 0
-    assert fallbacks >= 2
+                if res.nodes > 0:
+                    fallbacks[res.status] += 1
+    assert fallbacks["FOUND"] >= 2 and fallbacks["REFUTED"] >= 1
+
+
+def _subtrees_bruteforce(g, d):
+    """d-edge sets that are forests touching d + 1 vertices: trees."""
+    return [
+        frozenset(c)
+        for c in combinations(g.sorted_edges(), d)
+        if _is_forest(c, g.n) and len({v for e in c for v in e}) == d + 1
+    ]
+
+
+def _same_subtrees(g):
+    for d in range(1, g.n):
+        listed = list(_subtrees(g, d))
+        assert len(listed) == len(set(listed))  # each subtree once
+        assert sorted(map(sorted, listed)) == sorted(map(sorted, _subtrees_bruteforce(g, d)))
+
+
+def test_subtrees_match_bruteforce_on_small_graphs():
+    for n in range(2, 6):
+        for g in all_connected_graphs(n):
+            _same_subtrees(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(n_min=2, n_max=7, connected=True))
+def test_subtrees_match_bruteforce_property(g):
+    _same_subtrees(g)
+
+
+def test_seeded_union_keeps_the_frozen_subtree():
+    # augmenting chains would move T0 edges out of the last forest here if
+    # they were not frozen
+    moving = build_graph(8, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 4), (2, 3), (2, 4), (2, 5),
+                             (2, 6), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
+                             (5, 7)])
+    for g in all_connected_graphs(5) + [moving]:
+        for k in (1, 2):
+            for d in range(2, g.n - 1):
+                for t0 in _subtrees(g, d):
+                    seeded = _seeded_union(g, k, t0)
+                    if seeded is None:
+                        continue
+                    trees, forest = seeded
+                    assert t0 <= forest and _is_forest(forest, g.n)
+                    assert not any(t & forest for t in trees)
+
+
+def test_seeded_stages_settle_when_d_reaches_n_minus_1():
+    # only a spanning forest qualifies, so the union rank decides
+    for n in range(2, 6):
+        for g in all_connected_graphs(n):
+            for k in (1, 2):
+                for d in range(n - 1, n + 2):
+                    if d >= 1:
+                        assert search_pkd_witness(g, k, d).nodes == 0
 
 
 def test_search_refuted_stable_under_relabeling():
@@ -356,8 +448,6 @@ def test_search_status_matches_naive_enumeration():
     """Fully independent decision procedure: materialize every spanning
     tree, try every disjoint k-tuple, and scan all forests of each
     remainder. Must agree with the search on FOUND vs REFUTED."""
-    from itertools import combinations
-
     from corpus import exists_good_forest_bruteforce
 
     rng = random.Random(321)
