@@ -12,8 +12,10 @@ must stay below it.
 
 Decision semantics: every condition is a strict inequality against an
 exact rational threshold and is decided exactly; eigenvalues are counted
-against it by Sylvester's law of inertia (`spectra.inertia`), so one equal
-to its threshold fails. The float eigenvalue is only reported.
+by Sylvester's law of inertia (`spectra.eigenvalue_clears`), so one equal
+to its threshold fails. The float eigenvalue is reported as `measured` and
+picks the rational point, strictly between it and the threshold, at which
+the exact count runs; it never decides a verdict.
 
 The lemma checkers (the small-cut order bound and the Lemma 2.4/2.5 cut
 lower bound) are decided by edge connectivity, with no size cap; the
@@ -36,7 +38,7 @@ from .packing import (
     nu_f_exact,
     search_pkd_witness,
 )
-from .spectra import inertia, spectral_profile
+from .spectra import eigenvalue_clears, spectral_profile
 
 CROSS_DEFAULT_ON_MAX_N = 10
 CROSS_VERIFY_CAP = 12
@@ -317,13 +319,13 @@ def certify(
             a_used, b_used = rule.matrix(a, b)
             profile = spectral_profile(g, a_used, b_used)
             threshold = rule.threshold(req.k, d, g.max_degree, a, b)
-            above, at, below = inertia(g, a_used, b_used, threshold)
-            # i-th largest < theta iff fewer than i eigenvalues are >= theta; mirrored
             if rule.side == "largest":
-                measured, ahead = profile.kth_largest(rule.index), above
+                measured = profile.kth_largest(rule.index)
             else:
-                measured, ahead = profile.kth_smallest(rule.index), below
-            passes = ahead + at < rule.index
+                measured = profile.kth_smallest(rule.index)
+            passes = eigenvalue_clears(
+                g, a_used, b_used, rule.side, rule.index, threshold, measured
+            )
     outcome = "HYPOTHESIS_FAILED" if passes is None else "CERTIFIED" if passes else "CONDITION_FAILS"
     conclusion = f"P({req.k},{d}) holds" if passes else None
     cross = _cross_check(g, req, outcome, d, budget, cross_result)
@@ -396,8 +398,7 @@ def check_cut_lower_bound(g: Graph, k: int, variant: str) -> CutLowerBoundCheck:
     if not degree_ok or g.n < t_class + 2 or not _is_member(g, t_class):
         return CutLowerBoundCheck("NOT_APPLICABLE", None, None, ())
     measured = spectral_profile(g, 1, -1).kth_smallest(small_idx)
-    _, at, below = inertia(g, 1, -1, threshold)
-    if below + at >= small_idx:
+    if not eigenvalue_clears(g, 1, -1, "smallest", small_idx, threshold, measured):
         return CutLowerBoundCheck("VACUOUS", measured, threshold, ())
     kappa, side = edge_connectivity(g)
     if kappa > k:

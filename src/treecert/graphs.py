@@ -8,6 +8,7 @@ and the whole value is hashable, which lets higher layers memoize on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ParseError, ToolError
 
@@ -273,6 +274,9 @@ def components(g: Graph) -> list[VertexSet]:
     return comps
 
 
+# Callers ask about one graph many times in a row (once per condition),
+# so a few entries catch the repeats without keeping many graphs alive.
+@lru_cache(maxsize=32)
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 

@@ -2,9 +2,12 @@
 
 The eigensolver is self-contained, with no external numerical dependency:
 Householder reduction to tridiagonal form, then implicit-shift QL
-(eigenvalues only, O(n^3) with a small constant). The spectrum only fills
-reported `measured` values and the interlacing check; every spectral
-condition is decided exactly by `inertia`.
+(eigenvalues only, O(n^3) with a small constant). The spectrum fills
+reported `measured` values and the interlacing check, and it picks the
+point at which `eigenvalue_clears` counts exactly: the simplest rational
+strictly between the float eigenvalue and the threshold. The float value
+never decides a verdict; every spectral condition is decided by an exact
+`inertia` count, at that point or at the threshold itself.
 (a, b) = (0, 1) gives the adjacency matrix, (1, -1) the Laplacian and
 (1, 1) the signless Laplacian.
 """
@@ -81,6 +84,7 @@ def build_matrix(g: Graph, a: float, b: float) -> SymmetricMatrix:
     return matrix_from_rows(rows)
 
 
+@lru_cache(maxsize=512)
 def inertia(g: Graph, a, b, theta) -> tuple[int, int, int]:
     """(above, at, below): how many eigenvalues of a*D(G) + b*A(G) lie
     above, at and below theta, counted exactly (a, b, theta int or Fraction).
@@ -115,6 +119,65 @@ def inertia(g: Graph, a, b, theta) -> tuple[int, int, int]:
             u[i] = [(p * x - m * y) // prev for x, y in zip(u[i], row[i - k:])]
         prev = p
     return tuple(counts)
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest rational strictly between lo < hi: the smallest
+    denominator and, among those, the smallest absolute value (0 when the
+    interval holds it).
+
+    Continued-fraction descent on 0 <= lo: the smallest integer above lo
+    when it lies below hi, otherwise x = f + 1/y with f = floor(lo) and y
+    the simplest rational in (1/(hi - f), 1/(lo - f)), whose upper end is
+    unbounded when lo = f. Simplest means the smallest numerator as well
+    there, so the denominators stay minimal through each step."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -simplest_between(-hi, -lo)
+    terms = []
+    while True:
+        f = math.floor(lo)
+        if hi is None or f + 1 < hi:
+            terms.append(f + 1)
+            break
+        terms.append(f)
+        lo, hi = 1 / (hi - f), None if lo == f else 1 / (lo - f)
+    x = Fraction(terms.pop())
+    for f in reversed(terms):
+        x = f + 1 / x
+    return x
+
+
+def eigenvalue_clears(g: Graph, a, b, side: str, index: int, theta, estimate: float) -> bool:
+    """Whether the index-th eigenvalue of a*D(G) + b*A(G) from `side` lies
+    strictly past theta in the passing direction: the index-th largest
+    below theta (side "largest") or the index-th smallest above it
+    ("smallest"). Decided exactly; a value equal to theta does not clear.
+
+    `estimate` is the float value of that eigenvalue. One `inertia` count
+    at sigma, the simplest rational strictly between it and theta, usually
+    proves the verdict: on the largest side, sigma < theta with fewer than
+    index eigenvalues above sigma puts the index-th largest at or below
+    sigma; sigma > theta with at least index eigenvalues at or above sigma
+    puts it at or above sigma. The smallest side mirrors this. When that
+    count proves nothing (the estimate was wrong, or equals theta) the
+    count at theta decides. Small denominators keep the integer pivots
+    short, and nearby decisions land on the same memoised sigma."""
+    largest = side == "largest"
+    est = Fraction(estimate)
+    if est != theta:
+        sigma = simplest_between(min(est, theta), max(est, theta))
+        above, at, below = inertia(g, a, b, sigma)
+        ahead = above if largest else below
+        if (sigma < theta) == largest:  # sigma on the passing side of theta
+            if ahead < index:
+                return True
+        elif ahead + at >= index:
+            return False
+    above, at, below = inertia(g, a, b, theta)
+    # index-th largest < theta iff fewer than index eigenvalues are >= theta; mirrored
+    return (above if largest else below) + at < index
 
 
 def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:

@@ -16,7 +16,7 @@ from treecert import (
     sym_eigenvalues,
 )
 from treecert import spectra
-from treecert.spectra import matrix_from_rows
+from treecert.spectra import eigenvalue_clears, matrix_from_rows, simplest_between
 
 from corpus import complete, cycle, graphs, jacobi_eigenvalues, path, random_graph, star
 
@@ -107,6 +107,139 @@ def test_inertia_matches_jacobi_counts(n, p, seed, a, b, theta):
     assume(all(abs(x - theta) >= 1e-6 for x in eigs))
     above = sum(x > theta for x in eigs)
     assert inertia(g, a, b, theta) == (above, 0, n - above)
+
+
+F = Fraction
+
+
+def test_simplest_between_fixed_cases():
+    assert simplest_between(F(3, 2), F(7, 2)) == 2  # integers inside: smallest |x|
+    assert simplest_between(F(-1, 3), F(1, 5)) == 0
+    assert simplest_between(F(-7, 2), F(-3, 2)) == -2
+    assert simplest_between(F(-3, 10), F(-1, 5)) == F(-1, 4)
+    assert simplest_between(F(-1), F(0)) == F(-1, 2)
+    # integer open endpoints are excluded
+    assert simplest_between(F(0), F(1)) == F(1, 2)
+    assert simplest_between(F(2), F(3)) == F(5, 2)
+    assert simplest_between(F(-3), F(-2)) == F(-5, 2)
+    assert simplest_between(F(2), F(4)) == 3
+    assert simplest_between(F(1, 3), F(1, 2)) == F(2, 5)
+    # narrower than 1e-9
+    eps = F(1, 10**10)
+    assert simplest_between(F(1, 3) - eps, F(1, 3) + eps) == F(1, 3)
+    assert simplest_between(eps, 2 * eps) == F(1, 5 * 10**9 + 1)
+    lo = F(0.1)
+    x = simplest_between(lo, lo + F(1, 2**60))
+    assert lo < x < lo + F(1, 2**60)
+
+
+_endpoints = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=500),
+    st.floats(-20, 20).map(F),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_endpoints, y=_endpoints)
+def test_simplest_between_is_inside_and_simplest(x, y):
+    assume(x != y)
+    lo, hi = min(x, y), max(x, y)
+    s = simplest_between(lo, hi)
+    assert lo < s < hi
+    for q in range(1, min(s.denominator, 51)):
+        p = math.floor(lo * q) + 1  # smallest p with p/q > lo
+        assert F(p, q) >= hi
+
+
+def _exact_clears(g, a, b, side, index, theta):
+    above, at, below = inertia(g, a, b, theta)
+    return (above if side == "largest" else below) + at < index
+
+
+def _float_eigenvalue(g, a, b, side, index):
+    prof = spectral_profile(g, a, b)
+    return prof.kth_largest(index) if side == "largest" else prof.kth_smallest(index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+    a=_rationals,
+    b=_rationals,
+    theta=st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    side=st.sampled_from(["largest", "smallest"]),
+    index=st.integers(1, 12),
+    wrong=st.one_of(st.none(), st.floats(-40, 40)),
+)
+def test_eigenvalue_clears_matches_inertia_at_theta(n, p, seed, a, b, theta, side, index, wrong):
+    # `wrong`: an arbitrary float in place of the eigenvalue estimate
+    g = generate(FamilySpec("gnp", {"n": n, "p": p}, seed=seed))
+    index = min(index, n)
+    estimate = _float_eigenvalue(g, a, b, side, index) if wrong is None else wrong
+    assert eigenvalue_clears(g, a, b, side, index, theta, estimate) == _exact_clears(
+        g, a, b, side, index, theta
+    )
+
+
+def _recording_inertia(monkeypatch):
+    thetas = []
+    real = spectra.inertia
+
+    def recorded(g, a, b, theta):
+        thetas.append(theta)
+        return real(g, a, b, theta)
+
+    monkeypatch.setattr(spectra, "inertia", recorded)
+    return thetas
+
+
+def test_eigenvalue_clears_ties_fall_back_to_theta(monkeypatch):
+    thetas = _recording_inertia(monkeypatch)
+    ties = [  # (graph, a, b, theta, sorted spectrum holding theta)
+        (complete(6), 1, -1, F(6), [6, 6, 6, 6, 6, 0]),
+        (cycle(4), 0, 1, F(-2), [2, 0, 0, -2]),
+        (cycle(4), 0, 1, F(0), [2, 0, 0, -2]),
+        (cycle(4), 0, 1, F(2), [2, 0, 0, -2]),
+        (path(3), 2, -1, F(2), [3 + math.sqrt(3), 2, 3 - math.sqrt(3)]),
+    ]
+    checked = 0
+    for g, a, b, theta, spectrum in ties:
+        for index in range(1, g.n + 1):
+            for side, value in (("largest", spectrum[index - 1]), ("smallest", spectrum[-index])):
+                if value != theta:
+                    continue
+                checked += 1
+                del thetas[:]
+                estimate = _float_eigenvalue(g, a, b, side, index)
+                # an eigenvalue equal to theta does not clear it
+                assert not eigenvalue_clears(g, a, b, side, index, theta, estimate)
+                assert thetas[-1] == theta
+    assert checked == 20
+
+
+def test_eigenvalue_clears_ignores_a_wrong_estimate(monkeypatch):
+    # L(K5) is {5, 5, 5, 5, 0}
+    k5 = complete(5)
+    thetas = _recording_inertia(monkeypatch)
+    assert eigenvalue_clears(k5, 1, -1, "largest", 1, F(6), 7.0)
+    assert thetas == [F(13, 2), F(6)]
+    assert not eigenvalue_clears(k5, 1, -1, "largest", 1, F(4), 3.0)
+    assert not eigenvalue_clears(k5, 1, -1, "smallest", 2, F(6), 100.0)
+    assert eigenvalue_clears(k5, 1, -1, "smallest", 1, F(-1, 3), -5.0)
+
+
+def test_eigenvalue_clears_settles_at_sigma(monkeypatch):
+    # thm5.1's threshold on an 8-regular n = 40 graph: the second-largest
+    # adjacency eigenvalue is far below it, so sigma alone decides
+    g = generate(FamilySpec("random_regular", {"n": 40, "r": 8}, seed=7))
+    theta = 8 - 2 * (2 + F(7, 8)) / 9
+    estimate = _float_eigenvalue(g, 0, 1, "largest", 2)
+    thetas = _recording_inertia(monkeypatch)
+    assert eigenvalue_clears(g, 0, 1, "largest", 2, theta, estimate)
+    assert len(thetas) == 1 and thetas[0] != theta and thetas[0].denominator <= 5
+    assert _exact_clears(g, 0, 1, "largest", 2, theta)
 
 
 def test_profile_accessors():
