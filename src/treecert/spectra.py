@@ -10,6 +10,12 @@ never decides a verdict; every spectral condition is decided by an exact
 `inertia` count, at that point or at the threshold itself.
 (a, b) = (0, 1) gives the adjacency matrix, (1, -1) the Laplacian and
 (1, 1) the signless Laplacian.
+
+On an r-regular graph D = rI, so a*D + b*A = a*r*I + b*A (b != 0) has the
+eigenvalues a*r + b*mu over the adjacency spectrum mu. There the profile
+is mapped from the one adjacency solve, and every decision is counted on
+A against tau = (theta - a*r)/b: each (a, b) shares one solve and one
+memoised set of counts.
 """
 
 from __future__ import annotations
@@ -149,11 +155,22 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return x
 
 
+def _on_adjacency(g: Graph, a: Fraction, b: Fraction) -> bool:
+    """Whether a*D(G) + b*A(G) = a*r*I + b*A(G) is read off the adjacency
+    spectrum: G is r-regular, b is nonzero and (a, b) is not (0, 1)."""
+    return g.min_degree == g.max_degree and b != 0 and (a, b) != (0, 1)
+
+
 def eigenvalue_clears(g: Graph, a, b, side: str, index: int, theta, estimate: float) -> bool:
     """Whether the index-th eigenvalue of a*D(G) + b*A(G) from `side` lies
     strictly past theta in the passing direction: the index-th largest
     below theta (side "largest") or the index-th smallest above it
     ("smallest"). Decided exactly; a value equal to theta does not clear.
+
+    On an r-regular graph the decision moves to the adjacency spectrum:
+    the eigenvalues are a*r + b*mu, so it becomes mu against
+    tau = (theta - a*r)/b, with the side flipped when b < 0, and
+    decisions from every (a, b) share one memoised matrix.
 
     `estimate` is the float value of that eigenvalue. One `inertia` count
     at sigma, the simplest rational strictly between it and theta, usually
@@ -164,8 +181,14 @@ def eigenvalue_clears(g: Graph, a, b, side: str, index: int, theta, estimate: fl
     count proves nothing (the estimate was wrong, or equals theta) the
     count at theta decides. Small denominators keep the integer pivots
     short, and nearby decisions land on the same memoised sigma."""
+    a, b, est = Fraction(a), Fraction(b), Fraction(estimate)
+    if _on_adjacency(g, a, b):
+        shift = a * g.max_degree
+        theta, est = (theta - shift) / b, (est - shift) / b
+        if b < 0:
+            side = "smallest" if side == "largest" else "largest"
+        a, b = Fraction(0), Fraction(1)
     largest = side == "largest"
-    est = Fraction(estimate)
     if est != theta:
         sigma = simplest_between(min(est, theta), max(est, theta))
         above, at, below = inertia(g, a, b, sigma)
@@ -269,10 +292,19 @@ def _tql1(d: list[float], e: list[float]) -> None:
 
 def sym_eigenvalues(m: SymmetricMatrix) -> tuple[float, ...]:
     """All eigenvalues of a symmetric matrix, sorted non-increasing:
-    Householder tridiagonalisation, then implicit-shift QL."""
-    d, e = _tridiagonalize([list(r) for r in m.rows])
-    _tql1(d, e)
-    return tuple(sorted(d, reverse=True))
+    Householder tridiagonalisation, then implicit-shift QL.
+
+    The matrix is scaled by 2^-e, with 2^e just above its largest |entry|,
+    and the eigenvalues are scaled back: a power of two changes no digit,
+    and QL's intermediate sums stay finite when the entries are near the
+    float limit. Raises NON_FINITE when an eigenvalue exceeds that limit."""
+    e = math.frexp(max(map(abs, chain.from_iterable(m.rows)), default=0.0))[1]
+    d, sub = _tridiagonalize([[math.ldexp(x, -e) for x in r] for r in m.rows])
+    _tql1(d, sub)
+    try:
+        return tuple(sorted((math.ldexp(x, e) for x in d), reverse=True))
+    except OverflowError:
+        raise ToolError("NON_FINITE", "an eigenvalue exceeds the float range")
 
 
 @dataclass(frozen=True)
@@ -309,7 +341,14 @@ def _profile_cached(g: Graph, a: Fraction, b: Fraction) -> SpectralProfile:
         fa, fb = float(a), float(b)
     except OverflowError:
         raise ToolError("NON_FINITE", "a or b is too large for a float")
-    eigs = sym_eigenvalues(build_matrix(g, fa, fb))
+    if _on_adjacency(g, a, b):  # a*r + b*mu over the adjacency spectrum mu
+        shift = fa * g.max_degree
+        mu = _profile_cached(g, Fraction(0), Fraction(1)).eigenvalues
+        eigs = tuple(sorted((shift + fb * x for x in mu), reverse=True))
+        if not all(map(math.isfinite, eigs)):  # also catches an infinite a*r
+            raise ToolError("NON_FINITE", "a*r + b*mu exceeds the float range")
+    else:
+        eigs = sym_eigenvalues(build_matrix(g, fa, fb))
     return SpectralProfile(a=a, b=b, eigenvalues=eigs)
 
 

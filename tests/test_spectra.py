@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.strategies import composite
 
 from treecert import (
     FamilySpec,
     ToolError,
+    build_graph,
     build_matrix,
     generate,
     inertia,
@@ -197,15 +199,17 @@ def _recording_inertia(monkeypatch):
 
 def test_eigenvalue_clears_ties_fall_back_to_theta(monkeypatch):
     thetas = _recording_inertia(monkeypatch)
-    ties = [  # (graph, a, b, theta, sorted spectrum holding theta)
-        (complete(6), 1, -1, F(6), [6, 6, 6, 6, 6, 0]),
-        (cycle(4), 0, 1, F(-2), [2, 0, 0, -2]),
-        (cycle(4), 0, 1, F(0), [2, 0, 0, -2]),
-        (cycle(4), 0, 1, F(2), [2, 0, 0, -2]),
-        (path(3), 2, -1, F(2), [3 + math.sqrt(3), 2, 3 - math.sqrt(3)]),
+    ties = [  # (graph, a, b, theta, sorted spectrum holding theta, last point counted)
+        # 5-regular: L = 5I - A, so the count runs on A at tau = (6 - 5)/(-1)
+        (complete(6), 1, -1, F(6), [6, 6, 6, 6, 6, 0], F(-1)),
+        (cycle(4), 0, 1, F(-2), [2, 0, 0, -2], F(-2)),
+        (cycle(4), 0, 1, F(0), [2, 0, 0, -2], F(0)),
+        (cycle(4), 0, 1, F(2), [2, 0, 0, -2], F(2)),
+        # irregular: counted on 2D - A itself
+        (path(3), 2, -1, F(2), [3 + math.sqrt(3), 2, 3 - math.sqrt(3)], F(2)),
     ]
     checked = 0
-    for g, a, b, theta, spectrum in ties:
+    for g, a, b, theta, spectrum, point in ties:
         for index in range(1, g.n + 1):
             for side, value in (("largest", spectrum[index - 1]), ("smallest", spectrum[-index])):
                 if value != theta:
@@ -215,19 +219,103 @@ def test_eigenvalue_clears_ties_fall_back_to_theta(monkeypatch):
                 estimate = _float_eigenvalue(g, a, b, side, index)
                 # an eigenvalue equal to theta does not clear it
                 assert not eigenvalue_clears(g, a, b, side, index, theta, estimate)
-                assert thetas[-1] == theta
+                assert thetas[-1] == point
     assert checked == 20
 
 
 def test_eigenvalue_clears_ignores_a_wrong_estimate(monkeypatch):
-    # L(K5) is {5, 5, 5, 5, 0}
+    # L(K5) = 4I - A(K5) is {5, 5, 5, 5, 0}; A(K5) is {4, -1, -1, -1, -1}
     k5 = complete(5)
     thetas = _recording_inertia(monkeypatch)
+    # largest L-eigenvalue below 6 is the smallest A-eigenvalue above
+    # tau = -2; the estimate 7 maps to -3, so sigma = -5/2 proves nothing
     assert eigenvalue_clears(k5, 1, -1, "largest", 1, F(6), 7.0)
-    assert thetas == [F(13, 2), F(6)]
+    assert thetas == [F(-5, 2), F(-2)]
     assert not eigenvalue_clears(k5, 1, -1, "largest", 1, F(4), 3.0)
     assert not eigenvalue_clears(k5, 1, -1, "smallest", 2, F(6), 100.0)
     assert eigenvalue_clears(k5, 1, -1, "smallest", 1, F(-1, 3), -5.0)
+
+
+@composite
+def regular_graphs(draw, n_max: int = 14):
+    n = draw(st.integers(2, n_max))
+    r = draw(st.integers(1, n - 1).filter(lambda r: n * r % 2 == 0))
+    return generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=regular_graphs(),
+    a=_rationals,
+    b=st.one_of(st.just(F(0)), _rationals),
+    theta=st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    tie=st.one_of(st.none(), st.integers(-14, 14)),
+    side=st.sampled_from(["largest", "smallest"]),
+    index=st.integers(1, 14),
+    wrong=st.one_of(st.none(), st.floats(-40, 40)),
+)
+def test_eigenvalue_clears_on_regular_graphs_matches_inertia_at_theta(
+    g, a, b, theta, tie, side, index, wrong
+):
+    # the decision runs on A(G) at tau = (theta - a*r)/b; the oracle counts
+    # a*D + b*A at theta. `tie` puts theta at a*r + b*tie, on an eigenvalue
+    # whenever tie is an integer adjacency eigenvalue (r always is)
+    if tie is not None:
+        theta = a * g.max_degree + b * tie
+    index = min(index, g.n)
+    estimate = _float_eigenvalue(g, a, b, side, index) if wrong is None else wrong
+    assert eigenvalue_clears(g, a, b, side, index, theta, estimate) == _exact_clears(
+        g, a, b, side, index, theta
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=regular_graphs(), a=_rationals, b=_rationals)
+def test_regular_profile_matches_the_direct_solve(g, a, b):
+    m = build_matrix(g, float(a), float(b))
+    got = spectral_profile(g, a, b).eigenvalues
+    tol = 1e-12 * (1 + m.frobenius_norm())
+    assert close(got, sym_eigenvalues(m), tol=tol)
+    assert close(got, jacobi_eigenvalues(m), tol=tol)
+
+
+def test_regular_graph_profiles_cost_one_eigensolve(monkeypatch):
+    calls = []
+    real = spectra.sym_eigenvalues
+
+    def counted(m):
+        calls.append(m.order)
+        return real(m)
+
+    monkeypatch.setattr(spectra, "sym_eigenvalues", counted)
+    spectra._profile_cached.cache_clear()
+    g = generate(FamilySpec("random_regular", {"n": 12, "r": 5}, seed=3))
+    # the (a, b) pairs the shipped conditions use at a_grid [1], b_grid [2, -2]
+    for a, b in [(0, 1), (1, -1), (1, 1), (1, 2), (1, -2)]:
+        spectral_profile(g, a, b)
+    assert calls == [12]
+    spectral_profile(path(4), 1, -1)  # irregular: solved directly
+    assert calls == [12, 4]
+
+
+def test_sym_eigenvalues_near_the_float_limit():
+    # entries up to 7e307: unscaled, QL's intermediate sums overflowed
+    g = build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) != (0, 1)])
+    big = spectral_profile(g, 10**307, 10**307).eigenvalues
+    unit = spectral_profile(g, 1, 1).eigenvalues
+    assert 1.15e308 < big[0] < 1.16e308
+    assert close(big, [1e307 * x for x in unit], tol=1e-12 * 1e308)
+    # an eigenvalue past the float range fails loudly, scaled back or mapped
+    with pytest.raises(ToolError) as err:
+        sym_eigenvalues(matrix_from_rows([[1e308, 1e308], [1e308, 1e308]]))
+    assert err.value.code == "NON_FINITE"
+    huge = 5 * 10**307  # K4: a*r = 1.5e308 is finite, a*r + b*3 is not
+    with pytest.raises(ToolError) as err:
+        sym_eigenvalues(build_matrix(complete(4), float(huge), float(huge)))
+    assert err.value.code == "NON_FINITE"
+    with pytest.raises(ToolError) as err:
+        spectral_profile(complete(4), huge, huge)
+    assert err.value.code == "NON_FINITE"
 
 
 def test_eigenvalue_clears_settles_at_sigma(monkeypatch):
