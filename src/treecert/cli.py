@@ -7,8 +7,9 @@ INCONCLUSIVE.
 
 `verify-pkd` settles P(k, d) by a seeded matroid-union decision: the union
 rank refutes, the complement of the seeded trees finds a witness, and only
-the left-over case tries each d-edge subtree frozen in the extra forest,
-at most `--budget` of them, the one source of INCONCLUSIVE.
+the left-over case tries the connected (d+1)-vertex sets the extra forest
+can span, exponential only in min(d, n-d) and at most `--budget` of them,
+the one source of INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help=f"most d-edge subtrees to try (>= 1, default {DEFAULT_BUDGET})",
+        help=f"most connected (d+1)-vertex sets to try (>= 1, default {DEFAULT_BUDGET})",
     )
     p.set_defaults(func=_cmd_verify_pkd)
 

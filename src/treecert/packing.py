@@ -12,11 +12,11 @@ Three routes live here, one per quantity:
   for one more sufficiently large forest. A (k+1)-forest matroid-union
   state seeded with k packed trees refutes by its rank (REFUTED) or finds
   the forest in the complement of those trees (FOUND). What is left is
-  decided exactly by freezing each d-edge subtree T0 in the last forest
-  (Edmonds 1965, matroid partition): one polynomial union per T0, so the
-  search is exponential only in d. A budget on the T0s tried is the one
-  source of INCONCLUSIVE; the k-packing enumeration it replaced is a test
-  oracle.
+  decided exactly over the connected (d+1)-vertex sets S that the big
+  component of the forest can span (Edmonds 1965, matroid partition): one
+  polynomial union per S, so the search is exponential only in
+  min(d, n-d). A budget on the sets tried is the one source of
+  INCONCLUSIVE; the k-packing enumeration it replaced is a test oracle.
 
 All threshold comparisons are integer/rational; floating point never
 decides a combinatorial branch.
@@ -34,7 +34,7 @@ from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_wi
 from .errors import ToolError
 from .graphs import Edge, Graph, VertexSet, components, edge, is_connected
 
-DEFAULT_BUDGET = 100_000  # d-edge subtrees tried by search_pkd_witness
+DEFAULT_BUDGET = 100_000  # connected (d+1)-vertex sets tried by search_pkd_witness
 
 
 @dataclass(frozen=True)
@@ -150,37 +150,35 @@ def _attack(g: Graph, lam: Fraction) -> tuple[bool, list[int]]:
 class _Forests:
     """Edge-disjoint forests with per-forest adjacency for path queries.
 
-    Frozen edges are never moved out of their forest. A forest holding a
-    frozen subtree T0 is therefore the graphic matroid of g with V(T0)
-    contracted: the circuit of a new edge is its forest path minus T0.
+    Part i is the graphic matroid of the endpoint map `ends[i]`: e joins
+    the vertices `ends[i](e)`, or is a loop there when that is None. A map
+    of None is the graph itself. Adjacency entries keep the original edge,
+    so path queries return graph edges in every part.
     """
 
     def __init__(self, k: int):
-        self.adj: list[dict[int, set[int]]] = [{} for _ in range(k)]
+        self.adj: list[dict[int, dict[int, Edge]]] = [{} for _ in range(k)]
+        self.ends: list = [None] * k
         self.owner: dict[Edge, int] = {}
-        self.frozen: frozenset[Edge] = frozenset()
+
+    def add_part(self, ends) -> None:
+        self.adj.append({})
+        self.ends.append(ends)
 
     def add(self, i: int, e: Edge) -> None:
-        u, v = e
-        self.adj[i].setdefault(u, set()).add(v)
-        self.adj[i].setdefault(v, set()).add(u)
+        u, v = e if self.ends[i] is None else self.ends[i](e)
+        self.adj[i].setdefault(u, {})[v] = e
+        self.adj[i].setdefault(v, {})[u] = e
         self.owner[e] = i
 
-    def add_frozen_forest(self, frozen: frozenset[Edge]) -> None:
-        """Append one more forest, holding the frozen edges."""
-        self.adj.append({})
-        self.frozen = frozen
-        for e in frozen:
-            self.add(len(self.adj) - 1, e)
-
     def remove(self, i: int, e: Edge) -> None:
-        u, v = e
-        self.adj[i][u].discard(v)
-        self.adj[i][v].discard(u)
+        u, v = e if self.ends[i] is None else self.ends[i](e)
+        del self.adj[i][u][v]
+        del self.adj[i][v][u]
 
     def path_edges(self, i: int, u: int, v: int) -> list[Edge] | None:
-        """Edges of the forest-i path from u to v; None if no path exists
-        (so the edge (u, v) can join forest i without a cycle)."""
+        """Edges of the part-i path from u to v; None if no path exists
+        (so an edge joining u and v can join part i without a cycle)."""
         adj = self.adj[i]
         if u not in adj or v not in adj:
             return None
@@ -190,7 +188,7 @@ class _Forests:
             x = dq.popleft()
             if x == v:
                 break
-            for y in adj.get(x, ()):
+            for y in adj[x]:
                 if y not in parent:
                     parent[y] = x
                     dq.append(y)
@@ -198,9 +196,9 @@ class _Forests:
             return None
         path = []
         y = v
-        while parent[y] is not None:
-            path.append(edge(parent[y], y))
-            y = parent[y]
+        while (x := parent[y]) is not None:
+            path.append(adj[x][y])
+            y = x
         return path
 
     def try_insert(self, e0: Edge) -> bool:
@@ -210,11 +208,13 @@ class _Forests:
         dq = deque([e0])
         while dq:
             f = dq.popleft()
-            u, v = f
-            for i in range(len(self.adj)):
+            for i, ends in enumerate(self.ends):
                 if self.owner.get(f) == i:
                     continue
-                path = self.path_edges(i, u, v)
+                uv = f if ends is None else ends(f)
+                if uv is None:
+                    continue
+                path = self.path_edges(i, *uv)
                 if path is None:
                     cur, dest = f, i
                     while True:
@@ -228,7 +228,7 @@ class _Forests:
                         cur, dest = info
                     return True
                 for h in path:
-                    if h not in pred and h not in self.frozen:
+                    if h not in pred:
                         pred[h] = (f, i)
                         dq.append(h)
         return False
@@ -246,21 +246,24 @@ class _Forests:
                 placed += 1
         return placed
 
-    def edge_sets(self) -> list[frozenset[Edge]]:
+    def edge_sets(self, n: int, trees: int) -> list[frozenset[Edge]]:
+        """Each part's edges; the first `trees` parts must be spanning trees."""
         out: list[set[Edge]] = [set() for _ in self.adj]
         for e, i in self.owner.items():
             out[i].add(e)
+        if not all(_is_spanning_tree(t, n) for t in out[:trees]):
+            raise ToolError("INTERNAL", "augmentation produced a non-tree")
         return [frozenset(s) for s in out]
 
 
-def _pack(g: Graph, k: int, skip: frozenset[Edge] = frozenset()) -> _Forests | None:
-    """k edge-disjoint spanning trees of g minus `skip` as a k-forest union
-    state, or None exactly when they do not exist."""
+def _pack(g: Graph, k: int) -> _Forests | None:
+    """k edge-disjoint spanning trees of g as a k-part union state, or None
+    exactly when they do not exist."""
     target = k * (g.n - 1)
-    if g.m - len(skip) < target:
+    if g.m < target:
         return None
     forests = _Forests(k)
-    if forests.insert_all((e for e in g.sorted_edges() if e not in skip), target) < target:
+    if forests.insert_all(g.sorted_edges(), target) < target:
         return None
     return forests
 
@@ -273,13 +276,7 @@ def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "tree packing needs a connected graph")
     forests = _pack(g, k)
-    if forests is None:
-        return None
-    trees = tuple(forests.edge_sets())
-    for t in trees:
-        if not _is_spanning_tree(t, g.n):
-            raise ToolError("INTERNAL", "augmentation produced a non-tree")
-    return trees
+    return None if forests is None else tuple(forests.edge_sets(g.n, k))
 
 
 def tau_packing(g: Graph) -> int:
@@ -398,61 +395,54 @@ def verify_pkd_witness(g: Graph, w: PackingWitness) -> list[str]:
     return violations
 
 
-def _seeded_union(
-    g: Graph, k: int, t0: frozenset[Edge] = frozenset()
-) -> tuple[list[frozenset[Edge]], frozenset[Edge]] | None:
-    """k spanning trees of g - t0 seed a (k+1)-forest matroid-union state
-    whose last forest starts as t0, frozen; every other edge is offered
-    once. Returns the trees and the last forest, or None when g - t0 does
-    not pack k trees.
+def _set_union(g: Graph, trees, s: VertexSet) -> list[frozenset[Edge]] | None:
+    """The spanning trees `trees` seed a union whose last part holds a
+    spanning tree B of G[S] and then the largest forest J of G/S it can.
+    Returns the trees followed by B + J, or None when no spanning trees
+    leave room for B.
 
-    Augmenting chains swap edges one for one and grow only the last forest,
-    so the trees stay spanning and that forest ends with
-    |t0| + R - k(n-1) edges, R the rank of the union of k graphic matroids
-    of g - t0 and that of g with V(t0) contracted. Any k spanning trees of
-    g - t0 plus any forest F containing t0 are independent in that union,
-    so no such F is larger.
+    Phase A makes the last part graphic(G[S]), with every other edge a
+    loop, and fills it to |S| - 1 edges. Phase B makes it graphic(G[S]) +
+    graphic(G/S), S contracted to the fresh vertex n. As B spans G[S], a
+    chain swaps S-edges only for S-edges and grows only J, so B stays a
+    spanning tree of G[S], and B + J is the largest forest holding one
+    that fits beside some k spanning trees.
     """
-    n = g.n
-    forests = _pack(g, k, t0)
-    if forests is None:
+    n, d = g.n, len(s) - 1
+    forests = _Forests(len(trees))
+    for i, t in enumerate(trees):
+        for e in t:
+            forests.add(i, e)
+    forests.add_part(lambda e: e if e[0] in s and e[1] in s else None)
+    if forests.insert_all(g.sorted_edges(), d) < d:
         return None
-    forests.add_frozen_forest(t0)
-    forests.insert_all(g.sorted_edges(), n - 1 - len(t0))
-    *trees, forest = forests.edge_sets()
-    if not all(_is_spanning_tree(t, n) for t in trees):
-        raise ToolError("INTERNAL", "augmentation broke a seeded tree")
-    return trees, forest
+
+    def contracted(e: Edge) -> Edge:
+        u, v = e
+        return e if u in s and v in s else (n if u in s else u, n if v in s else v)
+
+    forests.ends[-1] = contracted
+    forests.insert_all(g.sorted_edges(), n - 1 - d)
+    return forests.edge_sets(n, len(trees))
 
 
-def _subtrees(g: Graph, d: int):
-    """Every d-edge subtree of g exactly once, as a set of edges.
-
-    A subtree is rooted at its smallest edge and grown only by larger
-    edges. Each step branches on the smallest frontier edge (one end in the
-    tree, not dropped): take it, or drop it for good. The two branches list
-    disjoint subtrees, and each subtree is reached by taking its own
-    frontier edges and dropping the others.
-    """
-    edges = g.sorted_edges()
-    index = {e: j for j, e in enumerate(edges)}
-    for r, root in enumerate(edges):
-        stack = [((r,), frozenset(root), frozenset())]  # edges, vertices, dropped
+def _connected_sets(g: Graph, size: int):
+    """Every connected vertex set with `size` vertices exactly once: rooted
+    at its smallest vertex, grown by larger ones, branching on the smallest
+    frontier vertex (take it, or drop it for good)."""
+    for r in range(g.n):
+        stack = [(1 << r, 0, g.adj_bits[r])]  # set, dropped, neighbours
         while stack:
-            tree, verts, dropped = stack.pop()
-            if len(tree) == d:
-                yield frozenset(edges[j] for j in tree)
+            bits, dropped, nbrs = stack.pop()
+            if bits.bit_count() == size:
+                yield frozenset(v for v in range(r, g.n) if bits >> v & 1)
                 continue
-            frontier = [
-                j
-                for u in verts
-                for w in g.adjacency[u]
-                if w not in verts and (j := index[edge(u, w)]) > r and j not in dropped
-            ]
+            frontier = nbrs & ~bits & ~dropped & (-1 << (r + 1))
             if frontier:
-                j = min(frontier)
-                stack.append((tree, verts, dropped | {j}))
-                stack.append((tree + (j,), verts | set(edges[j]), dropped))
+                low = frontier & -frontier
+                stack.append((bits, dropped | low, nbrs))
+                nbrs |= g.adj_bits[low.bit_length() - 1]
+                stack.append((bits | low, dropped, nbrs))
 
 
 def search_pkd_witness(
@@ -461,17 +451,19 @@ def search_pkd_witness(
     """Decide whether k disjoint spanning trees plus a qualifying extra
     forest exist.
 
-    Stage 1: `_seeded_union` with no frozen edges gives the largest extra
-    forest size f over all k-packings; d*f <= (d-1)(n-1) settles REFUTED.
-    Stage 2: if the complement of the seeded trees passes
-    `remainder_feasible`, FOUND. Both report nodes = 0.
+    Stage 1: k packed trees seed a (k+1)-part union whose last part is
+    graphic(g); offering every edge gives the largest extra forest size f
+    over all k-packings, and d*f <= (d-1)(n-1) settles REFUTED. Stage 2:
+    if the complement of the seeded trees passes `remainder_feasible`,
+    FOUND. Both report nodes = 0.
 
     What is left has d < n - 1 (for d >= n - 1 only a spanning forest
     qualifies, and stage 1 or 2 settles it), so condition C holds exactly
-    when F contains a d-edge subtree T0. Stage 3 runs `_seeded_union` once
-    per T0 from `_subtrees`: FOUND as soon as the last forest, which
-    contains T0, clears the size bound, REFUTED when no T0 does. `nodes`
-    counts the T0s tried; past `budget` of them the verdict is
+    when F contains a spanning tree of G[S] for a connected S with d + 1
+    vertices. Stage 3 runs `_set_union` with the stage-1 trees once per S
+    from `_connected_sets`, exponential only in min(d, n - d): FOUND as
+    soon as the forest clears the size bound, REFUTED when none does.
+    `nodes` counts the sets tried; past `budget` of them the verdict is
     INCONCLUSIVE. FOUND always carries a verified witness.
     """
     if k < 1 or d < 1:
@@ -484,10 +476,12 @@ def search_pkd_witness(
         raise ToolError("DISCONNECTED", "the search needs a connected graph")
 
     n = g.n
-    seeded = _seeded_union(g, k)
-    if seeded is None:
+    forests = _pack(g, k)
+    if forests is None:
         return PkdSearchResult("REFUTED", None, 0)
-    trees, forest = seeded
+    forests.add_part(None)
+    forests.insert_all(g.sorted_edges(), n - 1)
+    *trees, forest = forests.edge_sets(n, k)
     if d * len(forest) <= (d - 1) * (n - 1):
         return PkdSearchResult("REFUTED", None, 0)
     remainder = g.edges.difference(*trees)
@@ -495,13 +489,14 @@ def search_pkd_witness(
         forest = spanning_forest(n, remainder)
         return PkdSearchResult("FOUND", _build_witness(g, trees, forest, k, d), 0)
     tried = 0
-    for t0 in _subtrees(g, d):
+    for s in _connected_sets(g, d + 1):
         if tried == budget:
             return PkdSearchResult("INCONCLUSIVE", None, tried)
         tried += 1
-        seeded = _seeded_union(g, k, t0)
-        if seeded is not None and d * len(seeded[1]) > (d - 1) * (n - 1):
-            return PkdSearchResult("FOUND", _build_witness(g, *seeded, k, d), tried)
+        found = _set_union(g, trees, s)
+        if found is not None and d * len(found[-1]) > (d - 1) * (n - 1):
+            *trees, forest = found
+            return PkdSearchResult("FOUND", _build_witness(g, trees, forest, k, d), tried)
     return PkdSearchResult("REFUTED", None, tried)
 
 

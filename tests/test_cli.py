@@ -22,7 +22,10 @@ K5 = "5 10\n" + "\n".join(
 ) + "\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 P3 = "3 2\n0 1\n1 2\n"
-FALLBACK = "6 9\n0 1\n0 2\n0 3\n0 4\n0 5\n1 5\n2 3\n2 4\n3 4\n"
+# two K4s joined by the edge 0-4
+CLIQUE_CHAIN = "8 13\n" + "\n".join(
+    f"{u} {v}" for b in (0, 4) for u in range(b, b + 4) for v in range(u + 1, b + 4)
+) + "\n0 4\n"
 
 
 def run(capsys, argv):
@@ -121,12 +124,11 @@ def test_verify_pkd_refuted(capsys, graph_file):
 
 
 def test_verify_pkd_inconclusive_exit_code(capsys, graph_file):
-    # the seeded packing leaves components too small for d = 4, and the
-    # first d-edge subtree tried does not settle it, so a budget of one
-    # subtree stops the search
+    # the seeded stages do not settle d = 4, and the search is REFUTED only
+    # after 20 connected 5-vertex sets, so a budget of one set stops it
     code, out, _ = run(
         capsys,
-        ["verify-pkd", "--input", graph_file(FALLBACK), "--k", "1", "--d", "4",
+        ["verify-pkd", "--input", graph_file(CLIQUE_CHAIN), "--k", "1", "--d", "4",
          "--budget", "1"],
     )
     assert code == 3

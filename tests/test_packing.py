@@ -21,11 +21,13 @@ from treecert import (
     verify_pkd_witness,
 )
 from treecert.packing import (
+    DEFAULT_BUDGET,
     PkdSearchResult,
+    _components_from_edges,
     _is_forest,
     _is_spanning_tree,
-    _seeded_union,
-    _subtrees,
+    _connected_sets,
+    _set_union,
     remainder_feasible,
     spanning_forest,
 )
@@ -268,7 +270,7 @@ def test_search_seeded_route_settles_without_enumeration():
 
 # Vertex 0 joins every vertex, 1-5 is a pendant edge and 2, 3, 4 a
 # triangle: tau = 1 and the seeded tree leaves a big enough remainder whose
-# components are too small for d = 4, so only the subtree route settles it.
+# components are too small for d = 4, so only the set route settles it.
 FALLBACK_GRAPH = build_graph(
     6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)]
 )
@@ -283,12 +285,13 @@ def test_search_found_by_subtree_route():
     assert tau_partition_bruteforce(g) == 1
     res = search_pkd_witness(g, 1, 4)
     assert res.status == "FOUND"
-    assert res.nodes > 0  # really went through the subtree route
+    assert res.nodes > 0  # really went through the set route
     assert verify_pkd_witness(g, res.witness) == []
 
 
 def test_search_budget_exhaustion():
-    res = search_pkd_witness(FALLBACK_GRAPH, 1, 4, budget=1)
+    # REFUTED only after 20 connected 5-vertex sets, so one set stops it
+    res = search_pkd_witness(clique_chain(2, 4, 1), 1, 4, budget=1)
     assert res.status == "INCONCLUSIVE"
     assert res.witness is None
     assert res.nodes > 0
@@ -301,7 +304,7 @@ def test_search_rejects_budget_below_one(budget):
     assert err.value.code == "PARAMETER_ERROR"
 
 
-def test_subtree_route_found_where_enumeration_needs_millions():
+def test_set_route_found_where_enumeration_needs_millions():
     # the k-packing enumeration needed 51.7 M nodes here
     g = build_graph(9, [(0, 1), (0, 5), (0, 6), (0, 8), (1, 2), (1, 3), (1, 4), (1, 5),
                         (1, 6), (1, 7), (2, 3), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5),
@@ -311,14 +314,26 @@ def test_subtree_route_found_where_enumeration_needs_millions():
     assert verify_pkd_witness(g, res.witness) == []
 
 
-def test_subtree_route_refutes_where_enumeration_is_inconclusive():
+def test_set_route_refutes_where_enumeration_is_inconclusive():
     # the enumeration is still INCONCLUSIVE after 5 M nodes
     res = search_pkd_witness(clique_chain(3, 5, 1), 1, 5)
     assert res.status == "REFUTED" and res.nodes > 0
 
 
+def test_set_route_found_where_subtrees_ran_past_the_default_budget():
+    # a search over frozen 9-edge subtrees needed 270 299 of them here,
+    # and the enumeration is INCONCLUSIVE at 20 M nodes
+    g = build_graph(11, [(0, 1), (0, 4), (0, 9), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+                         (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 4), (3, 6), (3, 7),
+                         (3, 8), (3, 9), (3, 10), (4, 7), (4, 9), (4, 10), (5, 8), (6, 7),
+                         (6, 9), (6, 10), (7, 9), (7, 10), (9, 10)])
+    res = search_pkd_witness(g, 2, 9, budget=DEFAULT_BUDGET)
+    assert res.status == "FOUND" and res.nodes > 0
+    assert verify_pkd_witness(g, res.witness) == []
+
+
 def test_seeded_decision_matches_enumeration():
-    """The seeded verdict, with the subtree route behind it, equals the
+    """The seeded verdict, with the set route behind it, equals the
     full canonical enumeration (unlimited budget) on every connected graph
     with n <= 5 and on random connected graphs with n <= 9, for k in
     {1, 2} and d in 1..5."""
@@ -331,7 +346,7 @@ def test_seeded_decision_matches_enumeration():
     sample = [g for n in range(2, 6) for g in all_connected_graphs(n)] + randoms
     # known fallback cases: the seeded trees leave a forest of the right
     # size whose components are too small; the clique chain is REFUTED at
-    # k = 1, d = 4 after 86 subtrees
+    # k = 1, d = 4 after 20 sets
     sample.append(FALLBACK_GRAPH)
     sample.append(
         build_graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
@@ -352,49 +367,51 @@ def test_seeded_decision_matches_enumeration():
     assert fallbacks["FOUND"] >= 2 and fallbacks["REFUTED"] >= 1
 
 
-def _subtrees_bruteforce(g, d):
-    """d-edge sets that are forests touching d + 1 vertices: trees."""
-    return [
-        frozenset(c)
-        for c in combinations(g.sorted_edges(), d)
-        if _is_forest(c, g.n) and len({v for e in c for v in e}) == d + 1
-    ]
+def _same_connected_sets(g):
+    for size in range(1, g.n + 1):
+        listed = list(_connected_sets(g, size))
+        assert len(listed) == len(set(listed))  # each set once
+        bruteforce = {
+            frozenset(c)
+            for c in combinations(range(g.n), size)
+            if frozenset(c) in _components_from_edges(g.n, [e for e in g.edges if set(e) <= set(c)])
+        }
+        assert set(listed) == bruteforce
 
 
-def _same_subtrees(g):
-    for d in range(1, g.n):
-        listed = list(_subtrees(g, d))
-        assert len(listed) == len(set(listed))  # each subtree once
-        assert sorted(map(sorted, listed)) == sorted(map(sorted, _subtrees_bruteforce(g, d)))
-
-
-def test_subtrees_match_bruteforce_on_small_graphs():
+def test_connected_sets_match_bruteforce_on_small_graphs():
     for n in range(2, 6):
         for g in all_connected_graphs(n):
-            _same_subtrees(g)
+            _same_connected_sets(g)
 
 
 @settings(max_examples=80, deadline=None)
 @given(graphs(n_min=2, n_max=7, connected=True))
-def test_subtrees_match_bruteforce_property(g):
-    _same_subtrees(g)
+def test_connected_sets_match_bruteforce_property(g):
+    _same_connected_sets(g)
 
 
-def test_seeded_union_keeps_the_frozen_subtree():
-    # augmenting chains would move T0 edges out of the last forest here if
-    # they were not frozen
+def test_set_union_keeps_a_spanning_tree_of_the_set():
+    # augmenting chains move edges inside S out of the last part here, so
+    # only the swap of S-edges for S-edges keeps B spanning G[S]
     moving = build_graph(8, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 4), (2, 3), (2, 4), (2, 5),
                              (2, 6), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
                              (5, 7)])
     for g in all_connected_graphs(5) + [moving]:
         for k in (1, 2):
-            for d in range(2, g.n - 1):
-                for t0 in _subtrees(g, d):
-                    seeded = _seeded_union(g, k, t0)
-                    if seeded is None:
+            packed = pack_spanning_trees(g, k)
+            if packed is None:
+                continue
+            for d in range(1, g.n - 1):
+                for s in _connected_sets(g, d + 1):
+                    found = _set_union(g, packed, s)
+                    if found is None:
                         continue
-                    trees, forest = seeded
-                    assert t0 <= forest and _is_forest(forest, g.n)
+                    *trees, forest = found
+                    inside = [e for e in forest if e[0] in s and e[1] in s]
+                    assert _is_forest(forest, g.n)
+                    assert len(inside) == d and _is_forest(inside, g.n)
+                    assert all(_is_spanning_tree(t, g.n) for t in trees)
                     assert not any(t & forest for t in trees)
 
 
