@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .connectivity import edge_connectivity, gt_membership
@@ -225,11 +224,6 @@ class CertificateReport:
         }
 
 
-@lru_cache(maxsize=512)
-def _is_member(g: Graph, t: int) -> bool:
-    return gt_membership(g, t) is not None
-
-
 def _to_fraction(value, name: str) -> Fraction:
     try:
         return Fraction(value)
@@ -312,7 +306,7 @@ def certify(
         checks["min_degree"] = d >= rule.min_delta(req.k)
         if rule.gt_class:
             checks["class_membership"] = (
-                g.n >= rule.gt_class + 2 and _is_member(g, rule.gt_class)
+                g.n >= rule.gt_class + 2 and gt_membership(g, rule.gt_class) is not None
             ) if checks["min_degree"] else None  # None: not evaluated
         measured = threshold = passes = None
         if all(v is not False for v in checks.values()):
@@ -395,7 +389,7 @@ def check_cut_lower_bound(g: Graph, k: int, variant: str) -> CutLowerBoundCheck:
         degree_ok = delta >= 3 * k + 1 and 3 * k + 1 >= 7
         t_class, small_idx = 2, 4
         threshold = Q(6 * k, delta + 1)
-    if not degree_ok or g.n < t_class + 2 or not _is_member(g, t_class):
+    if not degree_ok or g.n < t_class + 2 or gt_membership(g, t_class) is None:
         return CutLowerBoundCheck("NOT_APPLICABLE", None, None, ())
     measured = spectral_profile(g, 1, -1).kth_smallest(small_idx)
     if not eigenvalue_clears(g, 1, -1, "smallest", small_idx, threshold, measured):

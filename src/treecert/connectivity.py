@@ -1,13 +1,14 @@
-"""Edge connectivity, minimum-cut side enumeration, and membership in the
-graph classes that require t+1 disjoint minimum-cut sides plus a leftover
+"""Edge connectivity, minimum-cut sides, and membership in the graph
+classes that require t+1 disjoint minimum-cut sides plus a leftover
 vertex.
 
-One integer-capacity max-flow routine (`max_flow`) serves every route:
-edge connectivity is a unit-capacity flow from vertex 0 to every other
-vertex; the full listing of minimum-cut sides reads the closed sets of
-those flows' residual graphs (Picard & Queyranne 1980); and
-`packing.nu_f_exact` runs it on its attack networks. The exhaustive
-2^(n-1) side scan is a test oracle, not a runtime route.
+One max-flow routine (`max_flow`) serves every route, `packing.nu_f_exact`
+included. One loop of unit-capacity flows from vertex 0 to every other
+vertex (`_flows`) is read three ways off its residual graphs (Picard &
+Queyranne 1980): edge connectivity with a witness side, the minimal
+minimum-cut sides that decide class membership, and the listing of all
+minimum-cut sides. The 2^(n-1) side scan and the backtrack over listed
+sides are test oracles, not runtime routes.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ToolError
-from .graphs import Graph, VertexSet, boundary_size_mask, components, is_connected
+from .graphs import Graph, VertexSet, boundary_size, components, is_connected
 
-# Vertex entries over all listed sides (each cut lists n: its side and the
-# complement). C100 lists 495 000; C1000 would list about 10^9.
+# Vertex entries over all sides `min_cut_sides` lists (n per cut: its side
+# and the complement). C100 lists 495 000; C1000 would list about 10^9.
 SIDE_OUTPUT_CAP = 1_000_000
-T_CAP = 8
 
 
 def _mask_to_set(mask: int) -> VertexSet:
@@ -75,23 +75,31 @@ def max_flow(
             return flow, parent
 
 
-def _unit_network(g: Graph) -> list[dict[int, int]]:
-    return [dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)]
-
-
-def _min_cut_flow(g: Graph) -> tuple[int, VertexSet]:
-    """Global min cut via max-flow from vertex 0 to every other vertex:
-    the smallest flow value and the minimal source side of the first t
-    attaining it. A flow that reaches the best value so far stops early."""
-    best = None
-    best_side: VertexSet = frozenset()
+def _flows(g: Graph):
+    """Maximum 0-t flows on the unit network of g for t = 1..n-1, each
+    stopped at the best value so far plus one (kappa' <= delta starts it).
+    Yields (flow, t, residual capacities, residual reach-set of 0) for
+    every flow at or below the best so far; those flows ran to completion."""
+    best = g.min_degree
     for t in range(1, g.n):
-        flow, reached = max_flow(_unit_network(g), 0, t, stop=best)
-        if t not in reached and (best is None or flow < best):
+        cap = [dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)]
+        flow, reached = max_flow(cap, 0, t, stop=best + 1)
+        if flow <= best:
             best = flow
-            best_side = frozenset(reached)
-    assert best is not None
-    return best, best_side
+            yield flow, t, cap, reached
+
+
+def _reaching(cap: list[dict[int, int]], t: int) -> VertexSet:
+    """The vertices with a path to t along the residual arcs of `cap`."""
+    seen = {t}
+    stack = [t]
+    while stack:
+        y = stack.pop()
+        for x in cap[y]:
+            if x not in seen and cap[x][y] > 0:
+                seen.add(x)
+                stack.append(x)
+    return frozenset(seen)
 
 
 def _closure(out: list[int], mask: int) -> int:
@@ -159,36 +167,57 @@ def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
     holds no banned vertex. Every branch ends in a distinct side, so the
     work is polynomial in the output.
 
-    One pass of 0-t flows finds kappa' and the sides together: each flow
-    stops at the best value so far plus one (kappa' <= delta starts it),
-    the sides are listed at every t whose flow equals that best, and a
-    smaller flow discards them. Past SIDE_OUTPUT_CAP listed vertex entries
-    at the final kappa' the listing stops with TOO_LARGE.
+    The sides are listed at every t whose flow in `_flows` equals the best
+    so far, and a smaller flow discards them. Past SIDE_OUTPUT_CAP listed
+    vertex entries at the final kappa' the listing stops with TOO_LARGE.
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "minimum-cut sides need a connected graph")
-    n = g.n
-    best = g.min_degree
+    best = None
     cuts: list[int] = []
     fits = True
-    for t in range(1, n):
-        cap = _unit_network(g)
-        flow, _ = max_flow(cap, 0, t, stop=best + 1)
-        if flow > best:
-            continue
-        if flow < best:
+    for flow, t, cap, _ in _flows(g):
+        if flow != best:
             best, cuts, fits = flow, [], True
         if fits:
-            fits = _list_sides(n, t, cap, cuts)
+            fits = _list_sides(g.n, t, cap, cuts)
     if not fits:
         raise ToolError(
             "TOO_LARGE", f"minimum-cut sides exceed {SIDE_OUTPUT_CAP} listed vertices"
         )
-    full = (1 << n) - 1
+    full = (1 << g.n) - 1
     sides = [_mask_to_set(s) for s in cuts] + [_mask_to_set(full ^ s) for s in cuts]
     return tuple(sorted(sides, key=_canon_key))
+
+
+@lru_cache(maxsize=512)
+def _min_cut_structure(g: Graph) -> tuple[int, VertexSet, tuple[VertexSet, ...]]:
+    """kappa' of a connected graph with n >= 2, the residual reach-set of 0
+    at the first t attaining it, and the inclusion-minimal minimum-cut
+    sides in canonical order.
+
+    At a t whose flow is kappa', the reach-set of 0 is the smallest
+    minimum-cut side holding 0 and missing t, and the vertices reaching t
+    form the smallest one holding t and missing 0. So a minimal side is the
+    first set at every t outside it if it holds 0, else the second set at
+    every t inside it. Minimal sides are pairwise disjoint (see
+    `gt_membership`) and every other candidate contains one, so in
+    canonical order they are the candidates missing all those kept before.
+    """
+    best = None
+    for flow, t, cap, reached in _flows(g):
+        if flow != best:
+            best, side, found = flow, frozenset(reached), set()
+        found |= {frozenset(reached), _reaching(cap, t)}
+    minimal: list[VertexSet] = []
+    used: set[int] = set()
+    for s in sorted(found, key=_canon_key):
+        if used.isdisjoint(s):
+            minimal.append(s)
+            used |= s
+    return best, side, tuple(minimal)
 
 
 def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
@@ -202,7 +231,8 @@ def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     comps = components(g)
     if len(comps) > 1:
         return 0, min(comps, key=_canon_key)
-    return _min_cut_flow(g)
+    kappa, side, _ = _min_cut_structure(g)
+    return kappa, side
 
 
 @dataclass(frozen=True)
@@ -232,10 +262,7 @@ def validate_gt_witness(g: Graph, w: GtWitness) -> list[str]:
         if used & s:
             problems.append(f"subset {i} overlaps an earlier subset")
         used |= s
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        b = boundary_size_mask(g, mask)
+        b = boundary_size(g, s)
         if b != kappa:
             problems.append(f"subset {i} has boundary {b}, kappa'={kappa}")
     if len(used) >= g.n:
@@ -244,47 +271,29 @@ def validate_gt_witness(g: Graph, w: GtWitness) -> list[str]:
 
 
 def gt_membership(g: Graph, t: int) -> GtWitness | None:
-    """Search for t+1 pairwise-disjoint minimum-cut sides with a non-empty
-    leftover; None means the graph is not in the class.
+    """t+1 pairwise-disjoint minimum-cut sides with a non-empty leftover;
+    None means the graph is not in the class.
 
-    Exact backtracking over the enumerated sides, smallest sides first.
+    The inclusion-minimal minimum-cut sides are pairwise disjoint. Were two
+    distinct ones X and Y to meet, a smaller minimum-cut side would lie
+    inside X: X & Y by submodularity when X | Y is not V (both it and X | Y
+    have boundary at least kappa', and the two sum to at most 2 kappa'), or
+    X - Y by posimodularity when X | Y is V. Every side contains a minimal
+    one, and disjoint sides contain distinct ones. So fewer than t+1
+    minimal sides leave no witness, and so do exactly t+1 that cover V,
+    since any t+1 disjoint sides then cover V. Otherwise the first t+1
+    minimal sides in canonical order (size, then lexicographic) are the
+    witness. A backtrack over every side in that order succeeds first with
+    the same sides: the first side disjoint from the earlier picks is
+    minimal, since a smaller side inside it would come earlier.
     """
-    if t < 1 or t > T_CAP:
-        raise ToolError("PARAMETER_ERROR", f"t must be in 1..{T_CAP}, got {t}")
+    if t < 1:
+        raise ToolError("PARAMETER_ERROR", f"t must be >= 1, got {t}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "class membership needs a connected graph")
     if g.n < t + 2:
         raise ToolError("TOO_SMALL", f"need n >= t+2 = {t + 2}, got n={g.n}")
-    sides = min_cut_sides(g)
-    masks = []
-    for s in sides:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        masks.append(mask)
-    full = (1 << g.n) - 1
-    need = t + 1
-    chosen: list[int] = []
-
-    def backtrack(start: int, used: int) -> tuple[VertexSet, ...] | None:
-        if len(chosen) == need:
-            if used != full:
-                return tuple(sides[i] for i in chosen)
-            return None
-        remaining = need - len(chosen)
-        for i in range(start, len(sides)):
-            if len(sides) - i < remaining:
-                break
-            if masks[i] & used:
-                continue
-            chosen.append(i)
-            found = backtrack(i + 1, used | masks[i])
-            chosen.pop()
-            if found is not None:
-                return found
+    _, _, sides = _min_cut_structure(g)
+    if len(sides) <= t or (len(sides) == t + 1 and sum(map(len, sides)) == g.n):
         return None
-
-    found = backtrack(0, 0)
-    if found is None:
-        return None
-    return GtWitness(t=t, subsets=found)
+    return GtWitness(t=t, subsets=sides[: t + 1])

@@ -215,10 +215,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
+        if not isinstance(data, dict):
+            raise ToolError("CONFIG_ERROR", "config must be a JSON object")
+        bad = set(data) - set(cls.__dataclass_fields__)
         if bad:
             raise ToolError("CONFIG_ERROR", f"unknown config keys {sorted(bad)}")
+        missing = [f for f in ("families", "theorems", "k_grid") if f not in data]
+        if missing:
+            raise ToolError("CONFIG_ERROR", f"missing config keys {missing}")
         return cls(**data)
 
 

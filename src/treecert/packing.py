@@ -608,20 +608,12 @@ def lemma41_decompose(
                     dq.append(b)
         if len(seen) != len(pieces):
             raise ToolError("NO_SPLIT_FOUND", "piece graph unexpectedly disconnected")
-        cut_edge = tree[0]
-        group = {cut_edge[0]: 0, cut_edge[1]: 1}
-        changed = True
-        while changed:
-            changed = False
-            for pa, pb in tree[1:]:
-                if pa in group and pb not in group:
-                    group[pb] = group[pa]
-                    changed = True
-                elif pb in group and pa not in group:
-                    group[pa] = group[pb]
-                    changed = True
+        # dropping the tree's first edge leaves two subtrees
+        side = next(
+            c for c in _components_from_edges(len(pieces), tree[1:]) if tree[0][0] in c
+        )
         x_prime = frozenset(
-            e for e in x1 if group[piece_of[e[0]]] != group[piece_of[e[1]]]
+            e for e in x1 if (piece_of[e[0]] in side) != (piece_of[e[1]] in side)
         )
 
     final = sorted(

@@ -25,6 +25,7 @@ from treecert import (
     components,
     generate,
     is_connected,
+    min_cut_sides,
 )
 from treecert.graphs import boundary_size_mask
 from treecert.packing import remainder_feasible
@@ -146,6 +147,31 @@ def enumerate_cuts(g: Graph) -> tuple[int, tuple[frozenset, ...]]:
         for side in (mask, full ^ mask):
             sides.add(frozenset(v for v in range(n) if side >> v & 1))
     return best, tuple(sorted(sides, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def gt_membership_backtrack(g: Graph, t: int) -> tuple[frozenset, ...] | None:
+    """Oracle for `gt_membership`: backtrack over every minimum-cut side in
+    canonical order for t+1 pairwise-disjoint ones whose union misses a
+    vertex; the first such choice, or None."""
+    sides = min_cut_sides(g)
+    masks = [sum(1 << v for v in s) for s in sides]
+    full = (1 << g.n) - 1
+    chosen: list[int] = []
+
+    def backtrack(start: int, used: int) -> tuple[frozenset, ...] | None:
+        if len(chosen) == t + 1:
+            return tuple(sides[i] for i in chosen) if used != full else None
+        for i in range(start, len(sides) - t + len(chosen)):
+            if masks[i] & used:
+                continue
+            chosen.append(i)
+            found = backtrack(i + 1, used | masks[i])
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    return backtrack(0, 0)
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:

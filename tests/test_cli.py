@@ -91,14 +91,15 @@ def test_gt(capsys, graph_file):
     assert data["subsets"] == [[0], [1]]
 
 
-def test_gt_too_many_sides_exits_2(capsys, graph_file):
-    # C300 has 89 700 minimum-cut sides: the listing stops at its output
-    # cap instead of filling memory
+def test_gt_c300_has_no_side_cap(capsys, graph_file):
+    # C300 has 89 700 minimum-cut sides, past the listing cap of
+    # `min_cut_sides`; `gt` reads only the 300 minimal ones (singletons)
     c300 = "300 300\n" + "\n".join(f"{v} {(v + 1) % 300}" for v in range(300))
     t0 = time.perf_counter()
-    code, out, err = run(capsys, ["gt", "--input", graph_file(c300), "--t", "1"])
-    assert code == 2 and out == ""
-    assert "TOO_LARGE" in err
+    code, out, _ = run(capsys, ["gt", "--input", graph_file(c300), "--t", "1"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["member"] is True and data["subsets"] == [[0], [1]]
     assert time.perf_counter() - t0 < 30
 
 
@@ -196,6 +197,13 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     typo_path.write_text(json.dumps({**cfg, "families": [{**cfg["families"][0], "trials": "2"}]}))
     param_path = tmp_path / "param.json"
     param_path.write_text(json.dumps({**cfg, "families": [{"family": "complete", "params": {"n": "5"}}]}))
+    # configs that are not a JSON object, or that lack a required key
+    shapeless = []
+    no_k_grid = {key: v for key, v in cfg.items() if key != "k_grid"}
+    for i, data in enumerate(([{"a": 1}], 5, None, {}, "x", no_k_grid)):
+        path = tmp_path / f"shapeless{i}.json"
+        path.write_text(json.dumps(data))
+        shapeless.append(str(path))
     k4 = graph_file(K4, "k4.txt")
     cases = [
         # a*deg overflows to inf; 1e400 overflows the float conversion itself
@@ -211,6 +219,8 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
         (["verify-pkd", "--input", k4, "--k", "1", "--d", "2", "--budget", "-5"], "PARAMETER_ERROR"),
         (["experiment", "--config", str(typo_path)], "CONFIG_ERROR"),
         (["experiment", "--config", str(param_path)], "CONFIG_ERROR"),
+        (["gt", "--input", k4, "--t", "0"], "PARAMETER_ERROR"),
+        *((["experiment", "--config", path], "CONFIG_ERROR") for path in shapeless),
     ]
     for argv, code_name in cases:
         code, out, err = run(capsys, argv)

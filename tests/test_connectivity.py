@@ -13,7 +13,7 @@ from treecert import (
     min_cut_sides,
     validate_gt_witness,
 )
-from treecert.connectivity import SIDE_OUTPUT_CAP, _min_cut_flow
+from treecert.connectivity import SIDE_OUTPUT_CAP
 from treecert.graphs import boundary_size
 
 from corpus import (
@@ -23,6 +23,7 @@ from corpus import (
     cycle,
     enumerate_cuts,
     graphs,
+    gt_membership_backtrack,
     path,
     random_connected_graph,
     random_graph,
@@ -67,11 +68,11 @@ def test_flow_route_agrees_with_enumeration():
     for _ in range(120):
         g = random_connected_graph(rng, 2, 12)
         kappa, sides = enumerate_cuts(g)
-        flow_kappa, flow_side = _min_cut_flow(g)
+        flow_kappa, flow_side = edge_connectivity(g)
         assert flow_kappa == kappa
         assert boundary_size(g, flow_side) == kappa
         assert flow_side in sides
-        assert edge_connectivity(g) == (flow_kappa, flow_side)
+        assert 0 in flow_side
 
 
 def test_min_cut_sides_counts():
@@ -178,11 +179,39 @@ def test_gt_preconditions():
         gt_membership(complete(3), 2)  # n < t + 2
     assert err.value.code == "TOO_SMALL"
     with pytest.raises(ToolError) as err:
-        gt_membership(complete(5), 9)
+        gt_membership(complete(5), 0)
     assert err.value.code == "PARAMETER_ERROR"
+    # t has no upper cap: K12 has 12 singleton sides, 10 of them leave two over
+    w = gt_membership(complete(12), 9)
+    assert w.subsets == tuple(frozenset({v}) for v in range(10))
+    assert validate_gt_witness(complete(12), w) == []
     with pytest.raises(ToolError) as err:
         gt_membership(build_graph(5, [(0, 1)]), 1)
     assert err.value.code == "DISCONNECTED"
+
+
+def _assert_gt_matches_backtrack(g):
+    for t in (1, 2, 3):
+        if g.n < t + 2:
+            continue
+        w = gt_membership(g, t)
+        expected = gt_membership_backtrack(g, t)
+        assert (None if w is None else w.subsets) == expected, (sorted(g.edges), t)
+        if w is not None:
+            assert w.t == t
+            assert validate_gt_witness(g, w) == []
+
+
+def test_gt_membership_matches_backtrack_on_all_small_graphs():
+    for n in range(2, 7):
+        for g in all_connected_graphs(n):
+            _assert_gt_matches_backtrack(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(n_min=2, n_max=14, connected=True))
+def test_gt_membership_matches_backtrack_property(g):
+    _assert_gt_matches_backtrack(g)
 
 
 def test_gt_witness_validation_catches_bad_witness():
