@@ -2,13 +2,15 @@
 property, with exact-rational thresholds and optional ground-truth
 cross-verification.
 
-Each condition is a row in a registry: which eigenvalue (or the exact
-fractional packing number) is measured, the exact threshold built from
-k, the degree bounds, and the matrix parameters, and which hypotheses
-(minimum degree, class membership, parameter constraints) must hold
-first. The side of the spectrum fixes the inequality direction: a
-smallest-side eigenvalue must exceed its threshold, a largest-side one
-must stay below it.
+Each eigenvalue condition is one row (t, a, b): the class G_t it assumes
+(t = 0: none) and the matrix a*D + b*A it reads, each of a and b a fixed
+value or a free parameter. Everything else follows from the row in one
+place: the eigenvalue is the (t+2)-th from the largest side when b > 0 and
+from the smallest when b < 0, with the minimum-degree bound, the parameter
+rule and the exact threshold of the theorem for class t carried over to
+a*D + b*A. The side fixes the inequality direction: a smallest-side
+eigenvalue must exceed its threshold, a largest-side one must stay below
+it.
 
 Decision semantics: every condition is a strict inequality against an
 exact rational threshold and is decided exactly; eigenvalues are counted
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .connectivity import edge_connectivity, gt_membership
 from .errors import ToolError
@@ -44,134 +45,92 @@ CROSS_VERIFY_CAP = 12
 
 Q = Fraction
 
+# Free parameters in a row: a, and b with the sign it must have.
+_FREE_A, _B_POS, _B_NEG = "a", "b > 0", "b < 0"
 
-def _base(k: int, delta: int) -> Fraction:
-    return k + Q(delta - 1, delta)
-
-
-@dataclass(frozen=True)
-class _Rule:
-    k_min: int
-    min_delta: Callable[[int], int]
-    gt_class: int  # 0 none, 1 or 2
-    b_sign: int  # 0: no b parameter; +1 / -1: required sign
-    a_min: Fraction | None  # None: no a parameter
-    matrix: Callable  # (a, b) -> (a_used, b_used)
-    side: str  # "largest" | "smallest"
-    index: int
-    threshold: Callable  # (k, delta, Delta, a, b) -> Fraction
-
-    def param_error(self, k: int, a: Fraction | None, b: Fraction | None) -> str | None:
-        """Why (k, a, b) lies outside this condition's parameter range, or
-        None when the condition accepts it."""
-        if k < self.k_min:
-            return f"needs k >= {self.k_min}, got {k}"
-        if (a is None) != (self.a_min is None):
-            return "requires parameter a" if a is None else "does not take parameter a"
-        if a is not None and a < self.a_min:
-            return f"needs a >= {self.a_min}, got a = {a}"
-        if (b is None) != (self.b_sign == 0):
-            return "requires parameter b" if b is None else "does not take parameter b"
-        if b is None:
-            return None
-        if b == 0:
-            return "needs b nonzero"
-        if (b > 0) != (self.b_sign > 0):
-            return f"needs b {'>' if self.b_sign > 0 else '<'} 0, got {b}"
-        if self.a_min == -1 and a / b < -1:
-            return f"needs a/b >= -1, got {a}/{b}"
-        return None
-
-
-def _fixed(a: int, b: int) -> Callable:
-    return lambda _a, _b: (Q(a), Q(b))
-
-
-_REGISTRY: dict[str, _Rule] = {
-    "thm1.2": _Rule(
-        2, lambda k: 2 * k + 2, 1, 0, None, _fixed(1, -1), "smallest", 3,
-        lambda k, d, D, a, b: 16 * _base(k, d) / (3 * (d + 1)),
-    ),
-    "thm1.3": _Rule(
-        2, lambda k: 3 * k + 3, 2, 0, None, _fixed(1, -1), "smallest", 4,
-        lambda k, d, D, a, b: 9 * _base(k, d) / (d + 1),
-    ),
-    "thm5.1": _Rule(
-        1, lambda k: 2 * k + 2, 0, 0, None, _fixed(0, 1), "largest", 2,
-        lambda k, d, D, a, b: d - 2 * _base(k, d) / (d + 1),
-    ),
-    "cor3.1i": _Rule(
-        2, lambda k: 2 * k + 2, 1, 0, Q(-1), lambda a, b: (a, Q(1)),
-        "largest", 3,
-        lambda k, d, D, a, b: (a + 1) * d - 16 * _base(k, d) / (3 * (d + 1)),
-    ),
-    "cor3.1ii": _Rule(
-        2, lambda k: 2 * k + 2, 1, +1, Q(-1), lambda a, b: (a, b),
-        "largest", 3,
-        lambda k, d, D, a, b: (a + b) * d - 16 * b * _base(k, d) / (3 * (d + 1)),
-    ),
-    "cor3.1iii": _Rule(
-        2, lambda k: 2 * k + 2, 1, -1, Q(-1), lambda a, b: (a, b),
-        "smallest", 3,
-        lambda k, d, D, a, b: (a + b) * d - 16 * b * _base(k, d) / (3 * (d + 1)),
-    ),
-    "cor3.2i": _Rule(
-        2, lambda k: 2 * k + 2, 1, 0, None, _fixed(0, 1), "largest", 3,
-        lambda k, d, D, a, b: d - 16 * _base(k, d) / (3 * (d + 1)),
-    ),
-    "cor3.2ii": _Rule(
-        2, lambda k: 2 * k + 2, 1, 0, None, _fixed(1, 1), "largest", 3,
-        lambda k, d, D, a, b: 2 * d - 16 * _base(k, d) / (3 * (d + 1)),
-    ),
-    "cor4.2i": _Rule(
-        2, lambda k: 3 * k + 3, 2, 0, Q(-1), lambda a, b: (a, Q(1)),
-        "largest", 4,
-        lambda k, d, D, a, b: (a + 1) * d - 9 * _base(k, d) / (d + 1),
-    ),
-    "cor4.2ii": _Rule(
-        2, lambda k: 3 * k + 3, 2, +1, Q(-1), lambda a, b: (a, b),
-        "largest", 4,
-        lambda k, d, D, a, b: (a + b) * d - 9 * b * _base(k, d) / (d + 1),
-    ),
-    "cor4.2iii": _Rule(
-        2, lambda k: 3 * k + 3, 2, -1, Q(-1), lambda a, b: (a, b),
-        "smallest", 4,
-        lambda k, d, D, a, b: (a + b) * d - 9 * b * _base(k, d) / (d + 1),
-    ),
-    "cor4.3i": _Rule(
-        2, lambda k: 3 * k + 3, 2, 0, None, _fixed(0, 1), "largest", 4,
-        lambda k, d, D, a, b: d - 9 * _base(k, d) / (d + 1),
-    ),
-    "cor4.3ii": _Rule(
-        2, lambda k: 3 * k + 3, 2, 0, None, _fixed(1, 1), "largest", 4,
-        lambda k, d, D, a, b: 2 * d - 9 * _base(k, d) / (d + 1),
-    ),
-    "cor5.2i": _Rule(
-        1, lambda k: 2 * k + 2, 0, 0, Q(0), lambda a, b: (a, Q(1)),
-        "largest", 2,
-        lambda k, d, D, a, b: (a + 1) * d - 2 * _base(k, d) / (d + 1),
-    ),
-    "cor5.2ii": _Rule(
-        1, lambda k: 2 * k + 2, 0, +1, Q(0), lambda a, b: (a, b),
-        "largest", 2,
-        lambda k, d, D, a, b: (a + b) * d - 2 * b * _base(k, d) / (d + 1),
-    ),
-    "cor5.2iii": _Rule(
-        1, lambda k: 2 * k + 2, 0, -1, Q(0), lambda a, b: (a, b),
-        "smallest", 2,
-        lambda k, d, D, a, b: a * D + b * d - 2 * b * _base(k, d) / (d + 1),
-    ),
-    "cor5.3i": _Rule(
-        1, lambda k: 2 * k + 2, 0, 0, None, _fixed(1, 1), "largest", 2,
-        lambda k, d, D, a, b: 2 * d - 2 * _base(k, d) / (d + 1),
-    ),
-    "cor5.3ii": _Rule(
-        1, lambda k: 2 * k + 2, 0, 0, None, _fixed(1, -1), "smallest", 2,
-        lambda k, d, D, a, b: D - d + 2 * _base(k, d) / (d + 1),
-    ),
+# id -> (t, a, b). Theorems 1.2 and 1.3 and Theorem 5.1 are the class-1,
+# class-2 and class-free conditions; their corollaries move them to a*D + b*A.
+_CONDITIONS: dict[str, tuple[int, object, object]] = {
+    "thm1.2": (1, 1, -1),
+    "thm1.3": (2, 1, -1),
+    "thm5.1": (0, 0, 1),
+    "cor3.1i": (1, _FREE_A, 1),
+    "cor3.1ii": (1, _FREE_A, _B_POS),
+    "cor3.1iii": (1, _FREE_A, _B_NEG),
+    "cor3.2i": (1, 0, 1),
+    "cor3.2ii": (1, 1, 1),
+    "cor4.2i": (2, _FREE_A, 1),
+    "cor4.2ii": (2, _FREE_A, _B_POS),
+    "cor4.2iii": (2, _FREE_A, _B_NEG),
+    "cor4.3i": (2, 0, 1),
+    "cor4.3ii": (2, 1, 1),
+    "cor5.2i": (0, _FREE_A, 1),
+    "cor5.2ii": (0, _FREE_A, _B_POS),
+    "cor5.2iii": (0, _FREE_A, _B_NEG),
+    "cor5.3i": (0, 1, 1),
+    "cor5.3ii": (0, 1, -1),
 }
 
-THEOREM_IDS = ("thm1.1",) + tuple(_REGISTRY)
+THEOREM_IDS = ("thm1.1",) + tuple(_CONDITIONS)
+
+# c_t: the constant of the class-t theorem's threshold.
+_CLASS_CONSTANT = (Q(2), Q(16, 3), Q(9))
+
+
+def param_error(
+    tid: str, k: int, d: int | None, a: Fraction | None, b: Fraction | None
+) -> str | None:
+    """Why (k, d, a, b) lies outside the parameter rule of condition `tid`,
+    or None when the condition accepts it. None stands for a parameter not
+    given."""
+    if tid == "thm1.1":
+        if k < 1:
+            return "needs k >= 1"
+        if d is None or d < 1:
+            return "needs d >= 1"
+        if a is not None or b is not None:
+            return "does not take matrix parameters"
+        return None
+    if d is not None:
+        return "fixes d to the minimum degree"
+    t, a_row, b_row = _CONDITIONS[tid]
+    k_min, a_min = (2, -1) if t else (1, 0)
+    if k < k_min:
+        return f"needs k >= {k_min}, got {k}"
+    if (a is None) == (a_row == _FREE_A):
+        return "requires parameter a" if a is None else "does not take parameter a"
+    if a is not None and a < a_min:
+        return f"needs a >= {a_min}, got a = {a}"
+    if (b is None) == (b_row in (_B_POS, _B_NEG)):
+        return "requires parameter b" if b is None else "does not take parameter b"
+    if b is None:
+        return None
+    if b == 0:
+        return "needs b nonzero"
+    if (b < 0) != (b_row == _B_NEG):
+        return f"needs {b_row}, got {b}"
+    if t and a / b < -1:
+        return f"needs a/b >= -1, got {a}/{b}"
+    return None
+
+
+def _rule(tid: str, k: int, a: Fraction | None, b: Fraction | None) -> tuple:
+    """(t, the a and b of the matrix, side, index, minimum-degree bound) of
+    eigenvalue condition `tid` at accepted parameters (k, a, b)."""
+    t, a_row, b_row = _CONDITIONS[tid]
+    a_used = a if a_row == _FREE_A else Q(a_row)
+    b_used = b if b is not None else Q(b_row)
+    side = "largest" if b_used > 0 else "smallest"
+    return t, a_used, b_used, side, t + 2, 3 * k + 3 if t == 2 else 2 * k + 2
+
+
+def _threshold(t: int, k: int, delta: int, Delta: int, a: Fraction, b: Fraction) -> Fraction:
+    """The exact threshold of the class-t condition on a*D + b*A:
+    a*D' + b*delta - b*c_t*(k + (delta-1)/delta)/(delta+1), where D' is the
+    maximum degree Delta for t = 0 with b < 0 and delta otherwise."""
+    degree = Delta if t == 0 and b < 0 else delta
+    base = k + Q(delta - 1, delta)
+    return a * degree + b * delta - b * _CLASS_CONSTANT[t] * base / (delta + 1)
 
 
 @dataclass(frozen=True)
@@ -231,12 +190,12 @@ def _to_fraction(value, name: str) -> Fraction:
         raise ToolError("PARAMETER_ERROR", f"{name} is not a rational number: {value!r}")
 
 
-def _validate_params(rule: _Rule, req: CertificateRequest) -> tuple[Fraction | None, Fraction | None]:
-    if req.d is not None:
-        raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} fixes d to the minimum degree")
+def _validate_params(req: CertificateRequest) -> tuple[Fraction | None, Fraction | None]:
+    if req.theorem_id not in THEOREM_IDS:
+        raise ToolError("PARAMETER_ERROR", f"unknown theorem id {req.theorem_id!r}")
     a = None if req.a is None else _to_fraction(req.a, "a")
     b = None if req.b is None else _to_fraction(req.b, "b")
-    problem = rule.param_error(req.k, a, b)
+    problem = param_error(req.theorem_id, req.k, req.d, a, b)
     if problem is not None:
         raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} {problem}")
     return a, b
@@ -285,41 +244,30 @@ def certify(
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
+    a, b = _validate_params(req)
     checks = {"parameter_constraints": True, "min_degree": True, "class_membership": True}
     if req.theorem_id == "thm1.1":
-        if req.k < 1:
-            raise ToolError("PARAMETER_ERROR", "thm1.1 needs k >= 1")
-        if req.d is None or req.d < 1:
-            raise ToolError("PARAMETER_ERROR", "thm1.1 needs d >= 1")
-        if req.a is not None or req.b is not None:
-            raise ToolError("PARAMETER_ERROR", "thm1.1 does not take matrix parameters")
-        d, a, b = req.d, None, None
+        d = req.d
         value = nu_f_exact(g).value
         threshold = req.k + Q(d - 1, d)
         measured, passes = float(value), value > threshold
     else:
-        rule = _REGISTRY.get(req.theorem_id)
-        if rule is None:
-            raise ToolError("PARAMETER_ERROR", f"unknown theorem id {req.theorem_id!r}")
-        a, b = _validate_params(rule, req)
+        t, a_used, b_used, side, index, min_delta = _rule(req.theorem_id, req.k, a, b)
         d = g.min_degree
-        checks["min_degree"] = d >= rule.min_delta(req.k)
-        if rule.gt_class:
+        checks["min_degree"] = d >= min_delta
+        if t:
             checks["class_membership"] = (
-                g.n >= rule.gt_class + 2 and gt_membership(g, rule.gt_class) is not None
+                g.n >= t + 2 and gt_membership(g, t) is not None
             ) if checks["min_degree"] else None  # None: not evaluated
         measured = threshold = passes = None
         if all(v is not False for v in checks.values()):
-            a_used, b_used = rule.matrix(a, b)
             profile = spectral_profile(g, a_used, b_used)
-            threshold = rule.threshold(req.k, d, g.max_degree, a, b)
-            if rule.side == "largest":
-                measured = profile.kth_largest(rule.index)
+            threshold = _threshold(t, req.k, d, g.max_degree, a_used, b_used)
+            if side == "largest":
+                measured = profile.kth_largest(index)
             else:
-                measured = profile.kth_smallest(rule.index)
-            passes = eigenvalue_clears(
-                g, a_used, b_used, rule.side, rule.index, threshold, measured
-            )
+                measured = profile.kth_smallest(index)
+            passes = eigenvalue_clears(g, a_used, b_used, side, index, threshold, measured)
     outcome = "HYPOTHESIS_FAILED" if passes is None else "CERTIFIED" if passes else "CONDITION_FAILS"
     conclusion = f"P({req.k},{d}) holds" if passes else None
     cross = _cross_check(g, req, outcome, d, budget, cross_result)
@@ -374,25 +322,19 @@ def check_cut_lower_bound(g: Graph, k: int, variant: str) -> CutLowerBoundCheck:
     kappa' <= k, because both sides of a minimum cut of a connected graph
     induce connected subgraphs; VIOLATIONS carries that side as witness.
     """
-    if variant not in ("lemma2.4", "lemma2.5"):
+    t = {"lemma2.4": 1, "lemma2.5": 2}.get(variant)  # the class G_t assumed
+    if t is None:
         raise ToolError("PARAMETER_ERROR", f"unknown variant {variant!r}")
     if k < 1:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 1, got {k}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the check needs a connected graph")
     delta = g.min_degree
-    if variant == "lemma2.4":
-        degree_ok = delta >= 2 * k + 1 and 2 * k + 1 >= 5
-        t_class, small_idx = 1, 3
-        threshold = Q(4 * k, delta + 1)
-    else:
-        degree_ok = delta >= 3 * k + 1 and 3 * k + 1 >= 7
-        t_class, small_idx = 2, 4
-        threshold = Q(6 * k, delta + 1)
-    if not degree_ok or g.n < t_class + 2 or gt_membership(g, t_class) is None:
+    if k < 2 or delta < (t + 1) * k + 1 or g.n < t + 2 or gt_membership(g, t) is None:
         return CutLowerBoundCheck("NOT_APPLICABLE", None, None, ())
-    measured = spectral_profile(g, 1, -1).kth_smallest(small_idx)
-    if not eigenvalue_clears(g, 1, -1, "smallest", small_idx, threshold, measured):
+    threshold = Q(2 * (t + 1) * k, delta + 1)
+    measured = spectral_profile(g, 1, -1).kth_smallest(t + 2)
+    if not eigenvalue_clears(g, 1, -1, "smallest", t + 2, threshold, measured):
         return CutLowerBoundCheck("VACUOUS", measured, threshold, ())
     kappa, side = edge_connectivity(g)
     if kappa > k:

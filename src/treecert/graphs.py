@@ -15,7 +15,8 @@ from .errors import ParseError, ToolError
 Edge = tuple[int, int]
 VertexSet = frozenset[int]
 
-# Parsers reject larger vertex counts before any per-vertex allocation.
+# Parsers and the family generators reject larger vertex counts before any
+# per-vertex or per-edge allocation.
 MAX_VERTICES = 1000
 
 

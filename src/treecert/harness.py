@@ -22,13 +22,13 @@ from fractions import Fraction
 from .certify import (
     THEOREM_IDS,
     CertificateRequest,
-    _REGISTRY,
     certify,
     cross_verify_on,
+    param_error,
 )
 from .connectivity import GtWitness
 from .errors import ToolError
-from .graphs import Edge, Graph, build_graph, is_connected
+from .graphs import MAX_VERTICES, Edge, Graph, build_graph, is_connected
 from .packing import search_pkd_witness
 from .quotient import check_interlacing, quotient_laplacian
 from .spectra import spectral_profile
@@ -61,26 +61,34 @@ def _need(params: dict, key: str) -> int:
     return params[key]
 
 
+def _order(n: int) -> int:
+    """n, once it is known not to exceed MAX_VERTICES; checked before any
+    edge is built."""
+    if n > MAX_VERTICES:
+        raise ToolError("TOO_LARGE", f"n={n} exceeds the cap of {MAX_VERTICES}")
+    return n
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Deterministic graph for (spec, seed)."""
     fam, p = spec.family, spec.params
     if fam == "complete":
-        n = _need(p, "n")
+        n = _order(_need(p, "n"))
         if n < 1:
             raise ToolError("SPEC_ERROR", "complete needs n >= 1")
         return build_graph(n, _clique_edges(range(n)))
     if fam == "cycle":
-        n = _need(p, "n")
+        n = _order(_need(p, "n"))
         if n < 3:
             raise ToolError("SPEC_ERROR", "cycle needs n >= 3")
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     if fam == "path":
-        n = _need(p, "n")
+        n = _order(_need(p, "n"))
         if n < 1:
             raise ToolError("SPEC_ERROR", "path needs n >= 1")
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if fam == "gnp":
-        n = _need(p, "n")
+        n = _order(_need(p, "n"))
         prob = _need(p, "p")
         if n < 1 or not (0 <= prob <= 1):
             raise ToolError("SPEC_ERROR", "gnp needs n >= 1 and p in [0, 1]")
@@ -95,24 +103,26 @@ def generate(spec: FamilySpec) -> Graph:
         c, q, l = _need(p, "blocks"), _need(p, "q"), p.get("links", 1)
         if c < 2 or q < 2 or not (1 <= l <= q):
             raise ToolError("SPEC_ERROR", "clique_chain needs blocks>=2, q>=2, 1<=links<=q")
+        n = _order(c * q)
         edges = []
         for b in range(c):
             edges.extend(_clique_edges(_block(b, q)))
         for b in range(c - 1):
             for j in range(l):
                 edges.append((b * q + j, (b + 1) * q + j))
-        return build_graph(c * q, edges)
+        return build_graph(n, edges)
     if fam == "clique_star":
         pend, q, l = _need(p, "pendants"), _need(p, "q"), p.get("links", 1)
         if pend < 2 or q < 2 or not (1 <= l <= q):
             raise ToolError("SPEC_ERROR", "clique_star needs pendants>=2, q>=2, 1<=links<=q")
+        n = _order((pend + 1) * q)
         edges = []
         for b in range(pend + 1):
             edges.extend(_clique_edges(_block(b, q)))
         for i in range(1, pend + 1):
             for j in range(l):
                 edges.append((j, i * q + j))
-        return build_graph((pend + 1) * q, edges)
+        return build_graph(n, edges)
     if fam == "clique_gadget_lemma41":
         return lemma41_gadget_fixture(_need(p, "k")).graph
     raise ToolError("SPEC_ERROR", f"unknown family {fam!r}")
@@ -122,7 +132,7 @@ def _random_regular(p: dict, seed: int) -> Graph:
     """r-regular graph: a circulant scrambled by degree-preserving edge
     swaps. Always succeeds, unlike stub pairing, which rejects too often
     at dense r."""
-    n, r = _need(p, "n"), _need(p, "r")
+    n, r = _order(_need(p, "n")), _need(p, "r")
     if n < 2 or r < 1 or r >= n or (n * r) % 2:
         raise ToolError("SPEC_ERROR", "random_regular needs 1 <= r < n with n*r even")
     edges = set()
@@ -175,6 +185,7 @@ def lemma41_gadget_fixture(k: int) -> Lemma41Fixture:
     if k < 2:
         raise ToolError("SPEC_ERROR", "the gadget needs k >= 2")
     q = 3 * k + 4
+    n = _order(5 * q)
     a_links = (k + 2) // 2
     c_links = (k + 1) - a_links
     A, B, C, D, E = (_block(i, q) for i in range(5))
@@ -191,7 +202,7 @@ def lemma41_gadget_fixture(k: int) -> Lemma41Fixture:
     for j in range(k + 1):
         edges.append((C[j], D[j]))
         edges.append((A[j], E[j]))
-    graph = build_graph(5 * q, edges)
+    graph = build_graph(n, edges)
     witness = GtWitness(
         t=2, subsets=(frozenset(B), frozenset(D), frozenset(E))
     )
@@ -239,6 +250,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ToolError("CONFIG_ERROR", f"{name} must be an integer")
     if not all(_is_int(v) for v in cfg.k_grid + cfg.d_grid):
         raise ToolError("CONFIG_ERROR", "k_grid and d_grid entries must be integers")
+    if None in cfg.a_grid + cfg.b_grid:  # None marks a parameter not given
+        raise ToolError("CONFIG_ERROR", "a_grid and b_grid entries must be rational numbers")
     if not cfg.families:
         raise ToolError("CONFIG_ERROR", "no families configured")
     for entry in cfg.families:
@@ -276,18 +289,15 @@ def _exact(value) -> Fraction | None:
 
 def _request_combos(cfg: ExperimentConfig, tid: str) -> list:
     """The (k, d, a, b) grid points the condition's rule accepts, with the
-    raw grid values."""
-    if tid == "thm1.1":
-        return [(k, d, None, None) for k in cfg.k_grid for d in cfg.d_grid]
-    rule = _REGISTRY[tid]
-    a_values = [None] if rule.a_min is None else cfg.a_grid
-    b_values = cfg.b_grid if rule.b_sign else [None]
+    raw grid values; None stands for a parameter the condition does not
+    take."""
     return [
-        (k, None, a, b)
+        (k, d, a, b)
         for k in cfg.k_grid
-        for a in a_values
-        for b in b_values
-        if rule.param_error(k, _exact(a), _exact(b)) is None
+        for d in [None, *cfg.d_grid]
+        for a in [None, *cfg.a_grid]
+        for b in [None, *cfg.b_grid]
+        if param_error(tid, k, d, _exact(a), _exact(b)) is None
     ]
 
 

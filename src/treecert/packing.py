@@ -370,26 +370,25 @@ def verify_pkd_witness(g: Graph, w: PackingWitness) -> list[str]:
         for e in es:
             if edge(*e) not in g.edges:
                 raise ToolError("FOREIGN_EDGE", f"edge {e} not in the graph")
+    # (u, v) and (v, u) are one edge: compare normalised edges
+    trees = [[edge(*e) for e in t] for t in w.trees]
+    forest = [edge(*e) for e in w.forest]
     violations = []
-    if len(w.trees) != w.k:
+    if len(trees) != w.k:
         violations.append("TREE_COUNT")
-    for i, t in enumerate(w.trees):
+    for i, t in enumerate(trees):
         if not _is_spanning_tree(t, g.n):
             violations.append(f"TREE_INVALID:{i}")
-    total = sum(len(t) for t in w.trees) + len(w.forest)
-    union: set[Edge] = set()
-    for t in w.trees:
-        union |= t
-    union |= w.forest
-    if len(union) != total:
+    every = [e for es in trees + [forest] for e in es]
+    if len(set(every)) != len(every):
         violations.append("NOT_EDGE_DISJOINT")
-    if not _is_forest(w.forest, g.n):
+    if not _is_forest(forest, g.n):
         violations.append("FOREST_INVALID")
     else:
-        if not (w.d * len(w.forest) > (w.d - 1) * (g.n - 1)):
+        if not (w.d * len(forest) > (w.d - 1) * (g.n - 1)):
             violations.append("CONDITION_B")
-        if not _is_spanning_tree(w.forest, g.n):
-            comps = _components_from_edges(g.n, w.forest)
+        if not _is_spanning_tree(forest, g.n):
+            comps = _components_from_edges(g.n, forest)
             if max(len(c) for c in comps) < w.d + 1:
                 violations.append("CONDITION_C")
     return violations

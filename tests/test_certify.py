@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 import time
@@ -118,16 +117,12 @@ def test_eigenvalue_at_its_threshold_fails(monkeypatch):
     # cor5.3ii asks for lambda_{n-1}(L) > threshold; on K7 that eigenvalue
     # is exactly 7 (six times). Within 1e-12 of it the float spectrum cannot
     # tell the sides apart; the exact decision can, and a tie fails.
-    rule = certify_module._REGISTRY["cor5.3ii"]
     req = CertificateRequest("cor5.3ii", k=2, cross_verify=False)
     eps = Fraction(1, 10**12)
     for theta, outcome in [
         (7 - eps, "CERTIFIED"), (Fraction(7), "CONDITION_FAILS"), (7 + eps, "CONDITION_FAILS"),
     ]:
-        monkeypatch.setitem(
-            certify_module._REGISTRY, "cor5.3ii",
-            dataclasses.replace(rule, threshold=lambda *_, t=theta: t),
-        )
+        monkeypatch.setattr(certify_module, "_threshold", lambda *_, t=theta: t)
         rep = certify(complete(7), req)
         assert abs(rep.measured - 7) < 1e-9
         assert rep.threshold == theta
@@ -201,6 +196,113 @@ def test_thm11_exact_boundary_is_not_certified():
     assert rep.measured == pytest.approx(1.0)
     assert rep.threshold == Fraction(1)
     assert rep.outcome == "CONDITION_FAILS"
+
+
+# ---------------------------------------------------------------------------
+# the rules derived from (t, a, b) against the paper's statements
+
+
+def _base(k, d):
+    return k + Fraction(d - 1, d)
+
+
+# id -> (side, index, minimum degree, class, threshold), each written as the
+# paper states it; a and b are the request's parameters (None when fixed)
+PAPER = {
+    "thm1.2": ("smallest", 3, lambda k: 2 * k + 2, 1,
+               lambda k, d, D, a, b: 16 * _base(k, d) / (3 * (d + 1))),
+    "thm1.3": ("smallest", 4, lambda k: 3 * k + 3, 2,
+               lambda k, d, D, a, b: 9 * _base(k, d) / (d + 1)),
+    "thm5.1": ("largest", 2, lambda k: 2 * k + 2, 0,
+               lambda k, d, D, a, b: d - 2 * _base(k, d) / (d + 1)),
+    "cor3.1i": ("largest", 3, lambda k: 2 * k + 2, 1,
+                lambda k, d, D, a, b: (a + 1) * d - 16 * _base(k, d) / (3 * (d + 1))),
+    "cor3.1ii": ("largest", 3, lambda k: 2 * k + 2, 1,
+                 lambda k, d, D, a, b: (a + b) * d - 16 * b * _base(k, d) / (3 * (d + 1))),
+    "cor3.1iii": ("smallest", 3, lambda k: 2 * k + 2, 1,
+                  lambda k, d, D, a, b: (a + b) * d - 16 * b * _base(k, d) / (3 * (d + 1))),
+    "cor3.2i": ("largest", 3, lambda k: 2 * k + 2, 1,
+                lambda k, d, D, a, b: d - 16 * _base(k, d) / (3 * (d + 1))),
+    "cor3.2ii": ("largest", 3, lambda k: 2 * k + 2, 1,
+                 lambda k, d, D, a, b: 2 * d - 16 * _base(k, d) / (3 * (d + 1))),
+    "cor4.2i": ("largest", 4, lambda k: 3 * k + 3, 2,
+                lambda k, d, D, a, b: (a + 1) * d - 9 * _base(k, d) / (d + 1)),
+    "cor4.2ii": ("largest", 4, lambda k: 3 * k + 3, 2,
+                 lambda k, d, D, a, b: (a + b) * d - 9 * b * _base(k, d) / (d + 1)),
+    "cor4.2iii": ("smallest", 4, lambda k: 3 * k + 3, 2,
+                  lambda k, d, D, a, b: (a + b) * d - 9 * b * _base(k, d) / (d + 1)),
+    "cor4.3i": ("largest", 4, lambda k: 3 * k + 3, 2,
+                lambda k, d, D, a, b: d - 9 * _base(k, d) / (d + 1)),
+    "cor4.3ii": ("largest", 4, lambda k: 3 * k + 3, 2,
+                 lambda k, d, D, a, b: 2 * d - 9 * _base(k, d) / (d + 1)),
+    "cor5.2i": ("largest", 2, lambda k: 2 * k + 2, 0,
+                lambda k, d, D, a, b: (a + 1) * d - 2 * _base(k, d) / (d + 1)),
+    "cor5.2ii": ("largest", 2, lambda k: 2 * k + 2, 0,
+                 lambda k, d, D, a, b: (a + b) * d - 2 * b * _base(k, d) / (d + 1)),
+    "cor5.2iii": ("smallest", 2, lambda k: 2 * k + 2, 0,
+                  lambda k, d, D, a, b: a * D + b * d - 2 * b * _base(k, d) / (d + 1)),
+    "cor5.3i": ("largest", 2, lambda k: 2 * k + 2, 0,
+                lambda k, d, D, a, b: 2 * d - 2 * _base(k, d) / (d + 1)),
+    "cor5.3ii": ("smallest", 2, lambda k: 2 * k + 2, 0,
+                 lambda k, d, D, a, b: D - d + 2 * _base(k, d) / (d + 1)),
+}
+
+# id -> (least k, least a or None when a is fixed, sign of a free b or 0
+# when b is fixed, whether a/b >= -1 is required)
+PAPER_PARAMS = {
+    "thm1.2": (2, None, 0, False), "thm1.3": (2, None, 0, False),
+    "thm5.1": (1, None, 0, False),
+    "cor3.1i": (2, -1, 0, False), "cor3.1ii": (2, -1, 1, True),
+    "cor3.1iii": (2, -1, -1, True),
+    "cor3.2i": (2, None, 0, False), "cor3.2ii": (2, None, 0, False),
+    "cor4.2i": (2, -1, 0, False), "cor4.2ii": (2, -1, 1, True),
+    "cor4.2iii": (2, -1, -1, True),
+    "cor4.3i": (2, None, 0, False), "cor4.3ii": (2, None, 0, False),
+    "cor5.2i": (1, 0, 0, False), "cor5.2ii": (1, 0, 1, False),
+    "cor5.2iii": (1, 0, -1, False),
+    "cor5.3i": (1, None, 0, False), "cor5.3ii": (1, None, 0, False),
+}
+
+
+def _paper_accepts(tid, k, a, b):
+    k_min, a_min, b_sign, ratio = PAPER_PARAMS[tid]
+    if k < k_min or (a is None) != (a_min is None) or (b is None) != (b_sign == 0):
+        return False
+    if a is not None and a < a_min:
+        return False
+    if b is not None and (b == 0 or (b > 0) != (b_sign > 0) or (ratio and a / b < -1)):
+        return False
+    return True
+
+
+def test_derived_rules_match_the_paper():
+    assert set(PAPER) == set(PAPER_PARAMS) == set(certify_module.THEOREM_IDS) - {"thm1.1"}
+    rng = random.Random(13)
+
+    def rational():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+
+    for tid, (side, index, min_delta, t, threshold) in PAPER.items():
+        accepted = 0
+        for _ in range(300):
+            k = rng.randint(0, 5)
+            delta = rng.randint(1, 30)
+            Delta = delta + rng.randint(0, 10)
+            for a, b in [(None, None), (rational(), None), (None, rational()),
+                         (rational(), rational())]:
+                accepts = _paper_accepts(tid, k, a, b)
+                assert (certify_module.param_error(tid, k, None, a, b) is None) == accepts
+                if not accepts:
+                    continue
+                accepted += 1
+                t_rule, a_used, b_used, side_rule, index_rule, bound = certify_module._rule(
+                    tid, k, a, b
+                )
+                assert (side_rule, index_rule, bound, t_rule) == (side, index, min_delta(k), t)
+                assert certify_module._threshold(
+                    t, k, delta, Delta, a_used, b_used
+                ) == threshold(k, delta, Delta, a, b)
+        assert accepted >= 30, tid
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,28 @@ def test_generate_spec_errors():
         assert err.value.code == "SPEC_ERROR"
 
 
+def test_generate_refuses_more_than_max_vertices():
+    from treecert.graphs import MAX_VERTICES
+
+    over = MAX_VERTICES + 1  # 1001 = 7 * 143
+    for fam, params in [
+        ("complete", {"n": over}),
+        ("complete", {"n": 10**6}),
+        ("cycle", {"n": over}),
+        ("path", {"n": over}),
+        ("gnp", {"n": over, "p": 0.5}),
+        ("random_regular", {"n": over, "r": 2}),
+        ("clique_chain", {"blocks": 7, "q": 143}),
+        ("clique_star", {"pendants": 6, "q": 143}),
+        ("clique_gadget_lemma41", {"k": 66}),  # 5 cliques of 3k + 4 = 202
+    ]:
+        with pytest.raises(ToolError) as err:
+            generate(FamilySpec(fam, params))
+        assert err.value.code == "TOO_LARGE", fam
+    assert generate(FamilySpec("path", {"n": MAX_VERTICES})).n == MAX_VERTICES
+    assert generate(FamilySpec("clique_chain", {"blocks": 500, "q": 2})).n == MAX_VERTICES
+
+
 # ---------------------------------------------------------------------------
 # experiment runner
 
@@ -231,6 +253,7 @@ def test_config_validation():
         dict(theorems=["cor5.2i"], a_grid=[-1]),  # every a below a_min = 0
         dict(theorems=["cor3.1ii"], a_grid=[-1], b_grid=[0.5]),  # a/b < -1
         dict(theorems=["cor3.1ii"], b_grid=["two"]),
+        dict(theorems=["cor5.3i"], a_grid=[None]),
         dict(jobs=0),
     ]:
         with pytest.raises(ToolError) as err:
@@ -254,6 +277,17 @@ def test_grid_points_outside_a_rule_are_skipped():
         ("cor5.2i", 1, None),
     ]
     assert not any("error" in c for c in certs)
+
+
+def test_thm11_grid_points_outside_its_rule_are_skipped():
+    k7 = [{"family": "complete", "params": {"n": 7}, "seed": 0, "trials": 1}]
+    cfg = _tiny_config(families=k7, theorems=["thm1.1"], k_grid=[0, 1], d_grid=[0, 2])
+    certs = run_experiment(cfg).rows[0]["certificates"]
+    assert [(c["theorem_id"], c["k"], c["d"]) for c in certs] == [("thm1.1", 1, 2)]
+    assert certs[0]["outcome"] == "CERTIFIED"
+    with pytest.raises(ToolError) as err:
+        run_experiment(_tiny_config(families=k7, theorems=["thm1.1"], k_grid=[0], d_grid=[2]))
+    assert err.value.code == "CONFIG_ERROR"
 
 
 def test_jobs_width_is_clamped(monkeypatch):

@@ -216,6 +216,14 @@ def test_verify_shared_edge():
     assert "NOT_EDGE_DISJOINT" in verify_pkd_witness(k4, w)
 
 
+def test_verify_shared_edge_written_in_reverse():
+    k3 = complete(3)
+    tree = frozenset({(0, 1), (1, 2)})
+    for reused in [(0, 1), (1, 0)]:
+        w = PackingWitness(trees=(tree,), forest=frozenset({reused}), k=1, d=1)
+        assert "NOT_EDGE_DISJOINT" in verify_pkd_witness(k3, w), reused
+
+
 def test_verify_foreign_edge():
     with pytest.raises(ToolError) as err:
         verify_pkd_witness(
