@@ -73,8 +73,12 @@ _CONDITIONS: dict[str, tuple[int, object, object]] = {
 
 THEOREM_IDS = ("thm1.1",) + tuple(_CONDITIONS)
 
-# c_t: the constant of the class-t theorem's threshold.
-_CLASS_CONSTANT = (Q(2), Q(16, 3), Q(9))
+# The fixed a and b values of the rows, made once: certify reads them on
+# every request, most of which stop at a hypothesis.
+_FIXED = {v: Q(v) for v in (-1, 0, 1)}
+
+# c_t = p/q: the constant of the class-t theorem's threshold, as (p, q).
+_CLASS_CONSTANT = ((2, 1), (16, 3), (9, 1))
 
 
 def param_error(
@@ -118,19 +122,23 @@ def _rule(tid: str, k: int, a: Fraction | None, b: Fraction | None) -> tuple:
     """(t, the a and b of the matrix, side, index, minimum-degree bound) of
     eigenvalue condition `tid` at accepted parameters (k, a, b)."""
     t, a_row, b_row = _CONDITIONS[tid]
-    a_used = a if a_row == _FREE_A else Q(a_row)
-    b_used = b if b is not None else Q(b_row)
-    side = "largest" if b_used > 0 else "smallest"
+    a_used = a if a_row == _FREE_A else _FIXED[a_row]
+    b_used = b if b is not None else _FIXED[b_row]
+    side = "largest" if b_used.numerator > 0 else "smallest"
     return t, a_used, b_used, side, t + 2, 3 * k + 3 if t == 2 else 2 * k + 2
 
 
 def _threshold(t: int, k: int, delta: int, Delta: int, a: Fraction, b: Fraction) -> Fraction:
     """The exact threshold of the class-t condition on a*D + b*A:
     a*D' + b*delta - b*c_t*(k + (delta-1)/delta)/(delta+1), where D' is the
-    maximum degree Delta for t = 0 with b < 0 and delta otherwise."""
+    maximum degree Delta for t = 0 with b < 0 and delta otherwise. The
+    factor of b is summed over one integer denominator, so the value costs
+    one gcd-normalised Fraction instead of one per term."""
     degree = Delta if t == 0 and b < 0 else delta
-    base = k + Q(delta - 1, delta)
-    return a * degree + b * delta - b * _CLASS_CONSTANT[t] * base / (delta + 1)
+    p, q = _CLASS_CONSTANT[t]
+    # delta - c_t*(k + (delta-1)/delta)/(delta+1)
+    gap = Q(q * delta * delta * (delta + 1) - p * (k * delta + delta - 1), q * delta * (delta + 1))
+    return a * degree + b * gap
 
 
 @dataclass(frozen=True)
