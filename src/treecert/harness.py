@@ -37,6 +37,9 @@ _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
 
 INTERLACING_TOL = 1e-8
+# Total trials over all families, checked before any trial task is built:
+# about 50 times the shipped corpus's 2029.
+MAX_TRIALS = 10**5
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,8 @@ def generate(spec: FamilySpec) -> Graph:
 def _random_regular(p: dict, seed: int) -> Graph:
     """r-regular graph: a circulant scrambled by degree-preserving edge
     swaps. Always succeeds, unlike stub pairing, which rejects too often
-    at dense r."""
+    at dense r. The graph is fixed by (n, r, seed): the tests pin it
+    against a reference copy of this loop and by literal digests."""
     n, r = _order(_need(p, "n")), _need(p, "r")
     if n < 2 or r < 1 or r >= n or (n * r) % 2:
         raise ToolError("SPEC_ERROR", "random_regular needs 1 <= r < n with n*r even")
@@ -139,24 +143,31 @@ def _random_regular(p: dict, seed: int) -> Graph:
     for v in range(n):
         for j in range(1, r // 2 + 1):
             w = (v + j) % n
-            edges.add((min(v, w), max(v, w)))
+            edges.add((v, w) if v < w else (w, v))
     if r % 2:  # n is even here since n*r is
         for v in range(n // 2):
             edges.add((v, v + n // 2))
+    if r == n - 1:  # the circulant is K_n, where no swap can succeed
+        return build_graph(n, edges)
     rng = random.Random(seed)
+    randrange, rand = rng.randrange, rng.random
     edge_list = sorted(edges)
-    for _ in range(30 * len(edge_list)):
-        i, j = rng.randrange(len(edge_list)), rng.randrange(len(edge_list))
+    m = len(edge_list)
+    for _ in range(30 * m):
+        # Draw order i, j, then random() only when i != j: the stream, and
+        # so the graph, must not change.
+        i = randrange(m)
+        j = randrange(m)
         if i == j:
             continue
         a, b = edge_list[i]
         c, d = edge_list[j]
-        if rng.random() < 0.5:
+        if rand() < 0.5:
             b, a = a, b
-        if len({a, b, c, d}) < 4:
+        if a == c or a == d or b == c or b == d:
             continue
-        e1 = (min(a, c), max(a, c))
-        e2 = (min(b, d), max(b, d))
+        e1 = (a, c) if a < c else (c, a)
+        e2 = (b, d) if b < d else (d, b)
         if e1 in edges or e2 in edges:
             continue
         edges.discard(edge_list[i])
@@ -269,6 +280,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ToolError(
                 "CONFIG_ERROR", f"family params must be integers (gnp's p a number): {entry}"
             )
+    total = sum(entry.get("trials", 1) for entry in cfg.families)
+    if total > MAX_TRIALS:
+        raise ToolError("CONFIG_ERROR", f"{total} trials exceed the cap of {MAX_TRIALS}")
     for tid in cfg.theorems:
         if tid not in THEOREM_IDS:
             raise ToolError("CONFIG_ERROR", f"unknown theorem id {tid!r}")

@@ -100,6 +100,42 @@ def random_graph(rng: random.Random, n_lo: int, n_hi: int, p: float = 0.4) -> Gr
     return build_graph(n, edges)
 
 
+def random_regular_reference(n: int, r: int, seed: int) -> Graph:
+    """The first swap loop of `random_regular`, kept as the oracle for the
+    faster one in `harness`: a circulant scrambled by 30*m degree-
+    preserving swap attempts. Takes valid (n, r) only."""
+    edges = set()
+    for v in range(n):
+        for j in range(1, r // 2 + 1):
+            w = (v + j) % n
+            edges.add((min(v, w), max(v, w)))
+    if r % 2:  # n is even here since n*r is
+        for v in range(n // 2):
+            edges.add((v, v + n // 2))
+    rng = random.Random(seed)
+    edge_list = sorted(edges)
+    for _ in range(30 * len(edge_list)):
+        i, j = rng.randrange(len(edge_list)), rng.randrange(len(edge_list))
+        if i == j:
+            continue
+        a, b = edge_list[i]
+        c, d = edge_list[j]
+        if rng.random() < 0.5:
+            b, a = a, b
+        if len({a, b, c, d}) < 4:
+            continue
+        e1 = (min(a, c), max(a, c))
+        e2 = (min(b, d), max(b, d))
+        if e1 in edges or e2 in edges:
+            continue
+        edges.discard(edge_list[i])
+        edges.discard(edge_list[j])
+        edges.add(e1)
+        edges.add(e2)
+        edge_list[i], edge_list[j] = e1, e2
+    return build_graph(n, edges)
+
+
 def all_connected_graphs(n: int):
     """Every labeled connected graph on n vertices (use only for n <= 5)."""
     pairs = list(combinations(range(n), 2))

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import time
+
 import pytest
 
 from treecert import (
@@ -13,7 +17,7 @@ from treecert import (
     validate_gt_witness,
 )
 
-from corpus import complete, shipped_config
+from corpus import complete, random_regular_reference, shipped_config
 
 
 def test_generate_complete():
@@ -41,6 +45,56 @@ def test_random_regular():
     with pytest.raises(ToolError) as err:
         generate(FamilySpec("random_regular", {"n": 7, "r": 3}))  # odd product
     assert err.value.code == "SPEC_ERROR"
+
+
+# (n, r) of every random-regular draw in the large-graphs benchmark, the
+# shipped corpus's (8, 4) and (10, 6), odd r, r = n - 1 and the smallest case.
+REGULAR_GRID = (
+    [(n, r) for n in (14, 16, 18, 20) for r in (6, 8)]
+    + [(n, r) for n in (24, 32, 40, 48) for r in (8, 12)]
+    + [(64, 8), (64, 12), (80, 8), (10, 6), (10, 8), (11, 6), (11, 8)]
+    + [(8, 4), (10, 3), (12, 5), (16, 7), (30, 9)]
+    + [(5, 4), (8, 7), (12, 11)]
+    + [(2, 1)]
+)
+
+
+def test_random_regular_matches_reference_loop():
+    seeds = (0, 1, 44, 2**61 + 12345)
+    for n, r in REGULAR_GRID:
+        for seed in seeds:
+            got = generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=seed))
+            assert got == random_regular_reference(n, r, seed), (n, r, seed)
+    # the shipped corpus's 120 random-regular trials, seeded spec seed ^ trial
+    for n, r, spec_seed in ((8, 4, 11), (10, 6, 12)):
+        for local in range(60):
+            seed = spec_seed ^ local
+            got = generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=seed))
+            assert got == random_regular_reference(n, r, seed), (n, r, seed)
+
+
+def test_random_regular_pinned_digests():
+    """sha256 of the sorted edge list, fixed when the swap loop was first
+    written; a drift in random.Random's randrange stream shows up here."""
+    pinned = {
+        (8, 4, 11): "e059b6910cc759cd89039f5be25f63322e0b5ee010ad730a20b77a4ccba687d3",
+        (10, 6, 12): "ce430ba51669d1d34162474b796a028d5a9100d89ffbe56bb7cef3c4199244cd",
+        (16, 7, 5): "6b295cb1921c8452738146d58db69fee2f9db69dc91c3de1193862aa2ee31283",
+        (80, 8, 2**61 + 12345): "f0617da1a1af8872b2815003b49023c271ef1e86381441020f9f001d138cbf8b",
+    }
+    for (n, r, seed), digest in pinned.items():
+        g = generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=seed))
+        assert hashlib.sha256(json.dumps(sorted(g.edges)).encode()).hexdigest() == digest
+
+
+def test_random_regular_complete_degree_skips_the_swaps():
+    """r = n - 1 is K_n, where no swap can succeed; the 30*m attempts took
+    tens of seconds at n = 1000."""
+    t0 = time.perf_counter()
+    g = generate(FamilySpec("random_regular", {"n": 1000, "r": 999}, seed=3))
+    elapsed = time.perf_counter() - t0
+    assert g == generate(FamilySpec("complete", {"n": 1000}))
+    assert elapsed < 10.0, elapsed
 
 
 def test_clique_chain_class_guarantee():
@@ -261,6 +315,25 @@ def test_config_validation():
         assert err.value.code == "CONFIG_ERROR", bad
     with pytest.raises(ToolError) as err:
         run_experiment(_tiny_config(), jobs=0)
+    assert err.value.code == "CONFIG_ERROR"
+
+
+def test_trial_count_cap_is_checked_before_any_trial(monkeypatch):
+    def no_trial(_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    over = [
+        {"family": "complete", "params": {"n": 7}, "trials": harness.MAX_TRIALS},
+        {"family": "cycle", "params": {"n": 5}},  # trials defaults to 1
+    ]
+    for jobs in (1, 2):
+        with pytest.raises(ToolError) as err:
+            run_experiment(_tiny_config(families=over), jobs=jobs)
+        assert err.value.code == "CONFIG_ERROR"
+        assert str(harness.MAX_TRIALS) in err.value.message
+    with pytest.raises(ToolError) as err:
+        run_experiment(_tiny_config(families=[{**over[0], "trials": 10**9}]))
     assert err.value.code == "CONFIG_ERROR"
 
 
