@@ -113,7 +113,7 @@ def param_error(
         return "needs b nonzero"
     if (b < 0) != (b_row == _B_NEG):
         return f"needs {b_row}, got {b}"
-    if t and a / b < -1:
+    if t and (a < -b if b > 0 else a > -b):  # a/b < -1, without dividing
         return f"needs a/b >= -1, got {a}/{b}"
     return None
 
@@ -192,6 +192,8 @@ class CertificateReport:
 
 
 def _to_fraction(value, name: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):

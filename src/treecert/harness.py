@@ -40,6 +40,13 @@ INTERLACING_TOL = 1e-8
 # Total trials over all families, checked before any trial task is built:
 # about 50 times the shipped corpus's 2029.
 MAX_TRIALS = 10**5
+# (theorem, k, d, a, b) points the parameter rules are checked on: the
+# product of the grid lengths, with d, a and b each also "not given".
+# Checked before any point is built; the shipped corpus has 108.
+MAX_GRID_POINTS = 10**5
+# Certify calls of a run, trials x accepted requests: about 50 times the
+# shipped corpus's 36 522.
+MAX_CERTIFY_CALLS = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,9 @@ def generate(spec: FamilySpec) -> Graph:
 def _random_regular(p: dict, seed: int) -> Graph:
     """r-regular graph: a circulant scrambled by degree-preserving edge
     swaps. Always succeeds, unlike stub pairing, which rejects too often
-    at dense r. The graph is fixed by (n, r, seed): the tests pin it
-    against a reference copy of this loop and by literal digests."""
+    at dense r. The graph is fixed by (n, r, seed), and it is drawn from
+    getrandbits and random() alone: the tests pin it against a reference
+    loop that calls randrange and by literal digests."""
     n, r = _order(_need(p, "n")), _need(p, "r")
     if n < 2 or r < 1 or r >= n or (n * r) % 2:
         raise ToolError("SPEC_ERROR", "random_regular needs 1 <= r < n with n*r even")
@@ -150,14 +158,20 @@ def _random_regular(p: dict, seed: int) -> Graph:
     if r == n - 1:  # the circulant is K_n, where no swap can succeed
         return build_graph(n, edges)
     rng = random.Random(seed)
-    randrange, rand = rng.randrange, rng.random
+    getrandbits, rand = rng.getrandbits, rng.random
     edge_list = sorted(edges)
     m = len(edge_list)
+    k = m.bit_length()
     for _ in range(30 * m):
         # Draw order i, j, then random() only when i != j: the stream, and
-        # so the graph, must not change.
-        i = randrange(m)
-        j = randrange(m)
+        # so the graph, must not change. Each index is drawn the way
+        # randrange(m) draws it: k bits, again while the value is >= m.
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         if i == j:
             continue
         a, b = edge_list[i]
@@ -252,7 +266,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate_config(cfg: ExperimentConfig) -> None:
+def _validate_config(cfg: ExperimentConfig) -> list:
+    """Check the config and return its requests: (report fields with the
+    raw grid values, request) for every grid point that a selected
+    condition's rule accepts. Each cap is checked before the work it
+    bounds."""
     for name in ("families", "theorems", "k_grid", "d_grid", "a_grid", "b_grid"):
         if not isinstance(getattr(cfg, name), list):
             raise ToolError("CONFIG_ERROR", f"{name} must be a list")
@@ -286,33 +304,50 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for tid in cfg.theorems:
         if tid not in THEOREM_IDS:
             raise ToolError("CONFIG_ERROR", f"unknown theorem id {tid!r}")
-        if not _request_combos(cfg, tid):
+    points = len(cfg.theorems) * len(cfg.k_grid)
+    for grid in (cfg.d_grid, cfg.a_grid, cfg.b_grid):
+        points *= len(grid) + 1
+    if points > MAX_GRID_POINTS:
+        raise ToolError(
+            "CONFIG_ERROR", f"{points} grid points exceed the cap of {MAX_GRID_POINTS}"
+        )
+    a_vals, b_vals = _exact(cfg.a_grid), _exact(cfg.b_grid)
+    requests = []
+    for tid in cfg.theorems:
+        accepted = [  # None stands for a parameter the condition does not take
+            ({"theorem_id": tid, "k": k, "d": d, "a": a, "b": b},
+             CertificateRequest(theorem_id=tid, k=k, d=d, a=qa, b=qb))
+            for k in cfg.k_grid
+            for d in [None, *cfg.d_grid]
+            for a, qa in a_vals
+            for b, qb in b_vals
+            if param_error(tid, k, d, qa, qb) is None
+        ]
+        if not accepted:
             raise ToolError("CONFIG_ERROR", f"{tid} selected but no grid point meets its rules")
+        requests.extend(accepted)
+    calls = total * len(requests)
+    if calls > MAX_CERTIFY_CALLS:
+        raise ToolError(
+            "CONFIG_ERROR",
+            f"{total} trials x {len(requests)} requests exceed the cap of "
+            f"{MAX_CERTIFY_CALLS} certify calls",
+        )
     if cfg.packing_budget < 1:
         raise ToolError("CONFIG_ERROR", "packing_budget must be >= 1")
+    return requests
 
 
-def _exact(value) -> Fraction | None:
-    if value is None:
-        return None
-    try:
-        return Fraction(str(value))  # str() keeps decimal literals exact (0.1 -> 1/10)
-    except (ValueError, ZeroDivisionError):
-        raise ToolError("CONFIG_ERROR", f"grid value is not a rational number: {value!r}")
-
-
-def _request_combos(cfg: ExperimentConfig, tid: str) -> list:
-    """The (k, d, a, b) grid points the condition's rule accepts, with the
-    raw grid values; None stands for a parameter the condition does not
-    take."""
-    return [
-        (k, d, a, b)
-        for k in cfg.k_grid
-        for d in [None, *cfg.d_grid]
-        for a in [None, *cfg.a_grid]
-        for b in [None, *cfg.b_grid]
-        if param_error(tid, k, d, _exact(a), _exact(b)) is None
-    ]
+def _exact(values: list) -> list:
+    """(raw value, exact Fraction) for None ("not given") and each grid
+    value."""
+    out = [(None, None)]
+    for value in values:
+        try:  # str() keeps decimal literals exact (0.1 -> 1/10)
+            out.append((value, Fraction(str(value))))
+        except (ValueError, ZeroDivisionError):
+            raise ToolError("CONFIG_ERROR", f"grid value is not a rational number: {value!r}")
+    return out
 
 
 def _trial_graph(entry: dict, trial_seed: int):
@@ -438,16 +473,10 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentReport:
     """Run every configured trial and aggregate; deterministic for a fixed
     config at any worker count (results merge by trial index)."""
-    _validate_config(cfg)
+    requests = _validate_config(cfg)
     width = jobs if jobs is not None else cfg.jobs
     if width < 1:
         raise ToolError("CONFIG_ERROR", f"jobs must be >= 1, got {width}")
-    requests = [  # (report fields with the raw grid values, request)
-        ({"theorem_id": tid, "k": k, "d": d, "a": a, "b": b},
-         CertificateRequest(theorem_id=tid, k=k, d=d, a=_exact(a), b=_exact(b)))
-        for tid in cfg.theorems
-        for k, d, a, b in _request_combos(cfg, tid)
-    ]
     tasks = []
     index = 0
     for entry in cfg.families:

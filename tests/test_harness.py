@@ -1,10 +1,13 @@
 import hashlib
 import json
+import random
 import time
+from dataclasses import asdict
 
 import pytest
 
 from treecert import (
+    THEOREM_IDS,
     ExperimentConfig,
     FamilySpec,
     ToolError,
@@ -16,6 +19,7 @@ from treecert import (
     run_experiment,
     validate_gt_witness,
 )
+from treecert.cli import main
 
 from corpus import complete, random_regular_reference, shipped_config
 
@@ -73,14 +77,37 @@ def test_random_regular_matches_reference_loop():
             assert got == random_regular_reference(n, r, seed), (n, r, seed)
 
 
+def test_random_regular_draws_without_randrange(monkeypatch):
+    """The generator draws its swaps from getrandbits and random() alone, and
+    still gives the graphs of the randrange reference loop."""
+    seeds = (1, 2**61 + 12345)
+    expected = {
+        (n, r, seed): random_regular_reference(n, r, seed)
+        for n, r in REGULAR_GRID
+        for seed in seeds
+    }
+
+    def no_randrange(*args, **kwargs):
+        raise AssertionError("randrange was called")
+
+    monkeypatch.setattr(random.Random, "randrange", no_randrange)
+    for (n, r, seed), graph in expected.items():
+        got = generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=seed))
+        assert got == graph, (n, r, seed)
+
+
 def test_random_regular_pinned_digests():
     """sha256 of the sorted edge list, fixed when the swap loop was first
-    written; a drift in random.Random's randrange stream shows up here."""
+    written; a drift in random.Random's getrandbits or random() stream
+    shows up here. (64, 8) and (66, 8) have m = 256 and 264 edges, where
+    about half of the 9-bit index draws are rejected and drawn again."""
     pinned = {
         (8, 4, 11): "e059b6910cc759cd89039f5be25f63322e0b5ee010ad730a20b77a4ccba687d3",
         (10, 6, 12): "ce430ba51669d1d34162474b796a028d5a9100d89ffbe56bb7cef3c4199244cd",
         (16, 7, 5): "6b295cb1921c8452738146d58db69fee2f9db69dc91c3de1193862aa2ee31283",
         (80, 8, 2**61 + 12345): "f0617da1a1af8872b2815003b49023c271ef1e86381441020f9f001d138cbf8b",
+        (64, 8, 7): "037be48e196e6978457eb280fde6af96c2bd4a983591148b0a6aedef8ad00c05",
+        (66, 8, 3): "eca244277b4b823f4bf3310f4c25e39ec678b27efc64b428c1335c172c8014a1",
     }
     for (n, r, seed), digest in pinned.items():
         g = generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=seed))
@@ -335,6 +362,35 @@ def test_trial_count_cap_is_checked_before_any_trial(monkeypatch):
     with pytest.raises(ToolError) as err:
         run_experiment(_tiny_config(families=[{**over[0], "trials": 10**9}]))
     assert err.value.code == "CONFIG_ERROR"
+
+
+def test_grid_caps_are_checked_before_any_point_or_trial(monkeypatch, capsys, tmp_path):
+    def never(*_):
+        raise AssertionError("work ran past a cap")
+
+    monkeypatch.setattr(harness, "_run_trial", never)
+    wide = list(range(1, 101))
+    grids = dict(theorems=list(THEOREM_IDS), k_grid=wide, d_grid=wide, a_grid=wide, b_grid=wide)
+    t0 = time.perf_counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "param_error", never)  # no grid point is built
+        with pytest.raises(ToolError) as err:
+            run_experiment(_tiny_config(**grids))
+        assert err.value.code == "CONFIG_ERROR"
+        assert str(harness.MAX_GRID_POINTS) in err.value.message
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({**asdict(_tiny_config()), **grids}))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "CONFIG_ERROR" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
+    # 10^5 trials of 36 accepted requests: the points are built, no trial runs
+    many = [{"family": "complete", "params": {"n": 7}, "trials": harness.MAX_TRIALS}]
+    cfg = _tiny_config(families=many, theorems=list(THEOREM_IDS[1:]), k_grid=[2, 3])
+    with pytest.raises(ToolError) as err:
+        run_experiment(cfg)
+    assert err.value.code == "CONFIG_ERROR"
+    assert str(harness.MAX_CERTIFY_CALLS) in err.value.message
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_grid_points_outside_a_rule_are_skipped():
