@@ -19,6 +19,10 @@ to its threshold fails. The float eigenvalue is reported as `measured` and
 picks the rational point, strictly between it and the threshold, at which
 the exact count runs; it never decides a verdict.
 
+A CertificateRequest is checked against the rule of its row when it is
+built, with a and b read by `rational`, the one conversion every entry
+point uses; an invalid one raises PARAMETER_ERROR there, not in `certify`.
+
 The lemma checkers (the small-cut order bound and the Lemma 2.4/2.5 cut
 lower bound) are decided by edge connectivity, with no size cap; the
 subset scans they replaced are test oracles.
@@ -141,14 +145,49 @@ def _threshold(t: int, k: int, delta: int, Delta: int, a: Fraction, b: Fraction)
     return a * degree + b * gap
 
 
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def rational(value, name: str, code: str = "PARAMETER_ERROR") -> Fraction:
+    """`value` as an exact Fraction: a Fraction as it is, anything else read
+    from its text, so a float is its decimal (0.1 -> 1/10); a bool fails."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ToolError(code, f"{name} is not a rational number: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CertificateRequest:
+    """One condition to evaluate, checked and converted when it is built."""
+
     theorem_id: str
     k: int
     d: int | None = None  # free parameter for thm1.1 only; elsewhere d = delta
-    a: object = None  # int | float | str | Fraction
-    b: object = None
+    # Free a and b, given as an int, Fraction, "p/q" or decimal string, or a
+    # float read as its decimal, and stored as the Fraction `rational` makes.
+    a: Fraction | None = None
+    b: Fraction | None = None
     cross_verify: bool | None = None  # None: on for n <= 10
+
+    def __post_init__(self):
+        tid, k, d, cross = self.theorem_id, self.k, self.d, self.cross_verify
+        if tid not in THEOREM_IDS:
+            raise ToolError("PARAMETER_ERROR", f"unknown theorem id {tid!r}")
+        if not (is_int(k) and (d is None or is_int(d))):
+            raise ToolError("PARAMETER_ERROR", f"k and d must be integers, got {k!r} and {d!r}")
+        if type(cross) not in (bool, type(None)):
+            raise ToolError("PARAMETER_ERROR", f"cross_verify must be a bool or None: {cross!r}")
+        a = None if self.a is None else rational(self.a, "a")
+        b = None if self.b is None else rational(self.b, "b")
+        problem = param_error(tid, k, d, a, b)
+        if problem is not None:
+            raise ToolError("PARAMETER_ERROR", f"{tid} {problem}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -189,26 +228,6 @@ class CertificateReport:
             if self.cross_check is None
             else {"status": self.cross_check.status, "consistent": self.cross_check.consistent},
         }
-
-
-def _to_fraction(value, name: str) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ToolError("PARAMETER_ERROR", f"{name} is not a rational number: {value!r}")
-
-
-def _validate_params(req: CertificateRequest) -> tuple[Fraction | None, Fraction | None]:
-    if req.theorem_id not in THEOREM_IDS:
-        raise ToolError("PARAMETER_ERROR", f"unknown theorem id {req.theorem_id!r}")
-    a = None if req.a is None else _to_fraction(req.a, "a")
-    b = None if req.b is None else _to_fraction(req.b, "b")
-    problem = param_error(req.theorem_id, req.k, req.d, a, b)
-    if problem is not None:
-        raise ToolError("PARAMETER_ERROR", f"{req.theorem_id} {problem}")
-    return a, b
 
 
 def cross_verify_on(n: int, requested: bool | None = None) -> bool:
@@ -254,7 +273,6 @@ def certify(
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
-    a, b = _validate_params(req)
     checks = {"parameter_constraints": True, "min_degree": True, "class_membership": True}
     if req.theorem_id == "thm1.1":
         d = req.d
@@ -262,7 +280,7 @@ def certify(
         threshold = req.k + Q(d - 1, d)
         measured, passes = float(value), value > threshold
     else:
-        t, a_used, b_used, side, index, min_delta = _rule(req.theorem_id, req.k, a, b)
+        t, a_used, b_used, side, index, min_delta = _rule(req.theorem_id, req.k, req.a, req.b)
         d = g.min_degree
         checks["min_degree"] = d >= min_delta
         if t:
@@ -282,7 +300,7 @@ def certify(
     conclusion = f"P({req.k},{d}) holds" if passes else None
     cross = _cross_check(g, req, outcome, d, budget, cross_result)
     return CertificateReport(
-        theorem_id=req.theorem_id, k=req.k, d=d, a=a, b=b,
+        theorem_id=req.theorem_id, k=req.k, d=d, a=req.a, b=req.b,
         hypothesis_checks=checks, measured=measured, threshold=threshold,
         outcome=outcome, conclusion=conclusion, cross_check=cross,
     )

@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .certify import CertificateRequest, certify
+from .certify import CertificateRequest, certify, rational
 from .connectivity import gt_membership
 from .errors import ToolError
 from .graphs import Graph, parse_graph
@@ -40,13 +39,6 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text())
 
 
-def _rat(text: str, name: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ToolError("PARAMETER_ERROR", f"{name} must be rational (e.g. 1/2), got {text!r}")
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -57,8 +49,8 @@ def _edge_array(edges) -> list[list[int]]:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.input)
-    a = _rat(args.a, "a")
-    b = _rat(args.b, "b")
+    a = rational(args.a, "a")
+    b = rational(args.b, "b")
     profile = spectral_profile(g, a, b)
     _emit({"a": float(a), "b": float(b), "eigenvalues": list(profile.eigenvalues)})
     return 0
@@ -140,8 +132,8 @@ def _cmd_certify(args) -> int:
         theorem_id=args.theorem,
         k=args.k,
         d=args.d,
-        a=None if args.a is None else _rat(args.a, "a"),
-        b=None if args.b is None else _rat(args.b, "b"),
+        a=args.a,
+        b=args.b,
         cross_verify=True if args.cross_verify else None,
     )
     report = certify(g, req)

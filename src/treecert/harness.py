@@ -17,14 +17,15 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 from .certify import (
     THEOREM_IDS,
     CertificateRequest,
     certify,
     cross_verify_on,
+    is_int,
     param_error,
+    rational,
 )
 from .connectivity import GtWitness
 from .errors import ToolError
@@ -262,10 +263,6 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _validate_config(cfg: ExperimentConfig) -> list:
     """Check the config and return its requests: (report fields with the
     raw grid values, request) for every grid point that a selected
@@ -275,24 +272,22 @@ def _validate_config(cfg: ExperimentConfig) -> list:
         if not isinstance(getattr(cfg, name), list):
             raise ToolError("CONFIG_ERROR", f"{name} must be a list")
     for name in ("packing_budget", "jobs"):
-        if not _is_int(getattr(cfg, name)):
+        if not is_int(getattr(cfg, name)):
             raise ToolError("CONFIG_ERROR", f"{name} must be an integer")
-    if not all(_is_int(v) for v in cfg.k_grid + cfg.d_grid):
+    if not all(is_int(v) for v in cfg.k_grid + cfg.d_grid):
         raise ToolError("CONFIG_ERROR", "k_grid and d_grid entries must be integers")
-    if None in cfg.a_grid + cfg.b_grid:  # None marks a parameter not given
-        raise ToolError("CONFIG_ERROR", "a_grid and b_grid entries must be rational numbers")
     if not cfg.families:
         raise ToolError("CONFIG_ERROR", "no families configured")
     for entry in cfg.families:
         if not isinstance(entry, dict) or "family" not in entry:
             raise ToolError("CONFIG_ERROR", f"family entry without name: {entry}")
-        if not (_is_int(entry.get("trials", 1)) and _is_int(entry.get("seed", 0))):
+        if not (is_int(entry.get("trials", 1)) and is_int(entry.get("seed", 0))):
             raise ToolError("CONFIG_ERROR", f"trials and seed must be integers: {entry}")
         if entry.get("trials", 1) < 0:
             raise ToolError("CONFIG_ERROR", "trials must be >= 0")
         params = entry.get("params", {})
         if not isinstance(params, dict) or not all(
-            _is_int(v) or (key == "p" and isinstance(v, float))
+            is_int(v) or (key == "p" and isinstance(v, float))
             for key, v in params.items()
         ):
             raise ToolError(
@@ -340,14 +335,8 @@ def _validate_config(cfg: ExperimentConfig) -> list:
 
 def _exact(values: list) -> list:
     """(raw value, exact Fraction) for None ("not given") and each grid
-    value."""
-    out = [(None, None)]
-    for value in values:
-        try:  # str() keeps decimal literals exact (0.1 -> 1/10)
-            out.append((value, Fraction(str(value))))
-        except (ValueError, ZeroDivisionError):
-            raise ToolError("CONFIG_ERROR", f"grid value is not a rational number: {value!r}")
-    return out
+    value, read by the rule of `CertificateRequest`."""
+    return [(None, None)] + [(v, rational(v, "grid value", "CONFIG_ERROR")) for v in values]
 
 
 def _trial_graph(entry: dict, trial_seed: int):

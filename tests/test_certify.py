@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from treecert import (
     CertificateRequest,
+    ExperimentConfig,
     FamilySpec,
     ToolError,
     build_graph,
@@ -16,7 +18,10 @@ from treecert import (
     check_lemma_small_cut,
     edge_connectivity,
     generate,
+    harness,
+    run_experiment,
 )
+from treecert.cli import main
 
 from treecert.graphs import boundary_size_mask
 
@@ -159,32 +164,93 @@ def test_certify_disconnected():
 @pytest.mark.parametrize(
     "req",
     [
-        CertificateRequest("thm1.2", k=1),  # k >= 2 there
-        CertificateRequest("thm1.3", k=1),
-        CertificateRequest("cor3.1i", k=2),  # a missing
-        CertificateRequest("cor3.1i", k=2, a=-2),  # a < -1
-        CertificateRequest("cor3.1ii", k=2, a=1, b=-1),  # needs b > 0
-        CertificateRequest("cor3.1iii", k=2, a=1, b=1),  # needs b < 0
-        CertificateRequest("cor3.1iii", k=2, a=1, b=Fraction(-1, 2)),  # a/b < -1
-        CertificateRequest("cor5.2i", k=1, a=Fraction(-1, 2)),  # a >= 0 there
-        CertificateRequest("cor5.2ii", k=1, a=0, b=0),  # b nonzero
-        CertificateRequest("thm1.1", k=1),  # d missing
-        CertificateRequest("thm1.2", k=2, d=3),  # d fixed to delta
-        CertificateRequest("thm5.1", k=1, a=1),  # no matrix parameters
-        CertificateRequest("nope", k=1),
-        CertificateRequest("thm5.1", k=0),
-        CertificateRequest("thm1.1", k=0, d=2),
-        CertificateRequest("thm1.1", k=1, d=0),
-        CertificateRequest("thm1.1", k=1, d=2, a=1),  # no matrix parameters
-        CertificateRequest("cor3.1i", k=2, a="one"),  # not a rational
-        CertificateRequest("cor5.2ii", k=1, a=1),  # b missing
-        CertificateRequest("cor5.3i", k=1, b=1),  # no b parameter
+        dict(theorem_id="thm1.2", k=1),  # k >= 2 there
+        dict(theorem_id="thm1.3", k=1),
+        dict(theorem_id="cor3.1i", k=2),  # a missing
+        dict(theorem_id="cor3.1i", k=2, a=-2),  # a < -1
+        dict(theorem_id="cor3.1ii", k=2, a=1, b=-1),  # needs b > 0
+        dict(theorem_id="cor3.1iii", k=2, a=1, b=1),  # needs b < 0
+        dict(theorem_id="cor3.1iii", k=2, a=1, b=Fraction(-1, 2)),  # a/b < -1
+        dict(theorem_id="cor5.2i", k=1, a=Fraction(-1, 2)),  # a >= 0 there
+        dict(theorem_id="cor5.2ii", k=1, a=0, b=0),  # b nonzero
+        dict(theorem_id="thm1.1", k=1),  # d missing
+        dict(theorem_id="thm1.2", k=2, d=3),  # d fixed to delta
+        dict(theorem_id="thm5.1", k=1, a=1),  # no matrix parameters
+        dict(theorem_id="nope", k=1),
+        dict(theorem_id="thm5.1", k=0),
+        dict(theorem_id="thm1.1", k=0, d=2),
+        dict(theorem_id="thm1.1", k=1, d=0),
+        dict(theorem_id="thm1.1", k=1, d=2, a=1),  # no matrix parameters
+        dict(theorem_id="cor3.1i", k=2, a="one"),  # not a rational
+        dict(theorem_id="cor5.2ii", k=1, a=1),  # b missing
+        dict(theorem_id="cor5.3i", k=1, b=1),  # no b parameter
+        dict(theorem_id="thm5.1", k=2.5),  # k and d are integers, not bools
+        dict(theorem_id="thm5.1", k="2"),
+        dict(theorem_id="thm5.1", k=True),
+        dict(theorem_id="thm1.1", k=1, d=2.5),
+        dict(theorem_id="thm1.1", k=1, d=True),
+        dict(theorem_id="cor5.2i", k=1, a=True),  # a bool is not a rational
+        dict(theorem_id="cor5.2i", k=1, a=float("nan")),
+        dict(theorem_id="cor5.2i", k=1, a="1/0"),
+        dict(theorem_id="thm5.1", k=1, cross_verify="yes"),  # True, False or None
+        dict(theorem_id="thm5.1", k=1, cross_verify=1),
     ],
 )
 def test_parameter_errors(req):
+    # an invalid request fails when it is built, before any graph is read
     with pytest.raises(ToolError) as err:
-        certify(complete(8), req)
+        CertificateRequest(**req)
     assert err.value.code == "PARAMETER_ERROR"
+
+
+def test_a_and_b_are_read_by_one_rule_at_every_entry_point(tmp_path, capsys):
+    # 0.1 is its decimal 1/10 whichever way it arrives, not the binary float
+    k8, want = complete(8), Fraction(1013, 140)
+    for a in (0.1, "0.1", "1/10", Fraction(1, 10)):
+        req = CertificateRequest("cor5.2i", k=1, a=a)
+        assert req.a == Fraction(1, 10)
+        assert certify(k8, req).threshold == want
+    cfg = ExperimentConfig(
+        families=[{"family": "complete", "params": {"n": 8}}],
+        theorems=["cor5.2i"], k_grid=[1], a_grid=[0.1],
+    )
+    [(fields, req)] = harness._validate_config(cfg)
+    assert fields["a"] == 0.1 and certify(k8, req).threshold == want
+    path = tmp_path / "k8.txt"
+    path.write_text("8 28\n" + "\n".join(f"{u} {v}" for u, v in sorted(k8.edges)))
+    argv = ["certify", "--input", str(path), "--theorem", "cor5.2i", "--k", "1", "--a", "0.1"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert Fraction(data["threshold_num"], data["threshold_den"]) == want
+
+
+def test_the_rule_is_checked_once_when_a_request_is_built(monkeypatch):
+    def boom(*_):
+        raise AssertionError("a parameter rule was checked after the request was built")
+
+    cfg = ExperimentConfig(
+        families=[{"family": "complete", "params": {"n": 8}}],
+        theorems=list(certify_module.THEOREM_IDS),
+        k_grid=[2], d_grid=[3], a_grid=[1], b_grid=[2, -2],
+    )
+    requests = [req for _, req in harness._validate_config(cfg)]
+    assert {req.theorem_id for req in requests} == set(certify_module.THEOREM_IDS)
+    with monkeypatch.context() as patch:
+        patch.setattr(certify_module, "param_error", boom)
+        outcomes = {certify(complete(8), req).outcome for req in requests}
+    assert outcomes == {"CERTIFIED", "HYPOTHESIS_FAILED"}
+    # the run builds its requests, then the trap is armed before any trial
+    build = harness._validate_config
+
+    def build_then_trap(cfg):
+        built = build(cfg)
+        monkeypatch.setattr(certify_module, "param_error", boom)
+        return built
+
+    monkeypatch.setattr(harness, "_validate_config", build_then_trap)
+    report = run_experiment(cfg, jobs=1)
+    certs = report.rows[0]["certificates"]
+    assert len(certs) == len(requests) and not any("error" in c for c in certs)
 
 
 def test_thm11_exact_boundary_is_not_certified():
