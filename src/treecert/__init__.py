@@ -49,7 +49,6 @@ from .packing import (
     nu_f_exact,
     pack_spanning_trees,
     search_pkd_witness,
-    spanning_forest,
     tau_packing,
     verify_pkd_witness,
 )

@@ -388,6 +388,9 @@ def _run_trial(args) -> dict:
         "min_degree": g.min_degree,
         "max_degree": g.max_degree,
     }
+    if g.n < 2:
+        row["error"] = "TOO_SMALL"
+        return row
     if not is_connected(g):
         row["status"] = "SKIPPED"
         return row

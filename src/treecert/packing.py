@@ -10,8 +10,8 @@ Three routes live here, one per quantity:
   produces the actual trees, the primal witness for tau),
 * the P(k, d) decision: whether k disjoint spanning trees can leave room
   for one more sufficiently large forest. A (k+1)-forest matroid-union
-  state seeded with k packed trees refutes by its rank (REFUTED) or finds
-  the forest in the complement of those trees (FOUND). What is left is
+  state seeded with k packed trees refutes by its rank (REFUTED) or holds
+  a qualifying forest beside those trees (FOUND). What is left is
   decided exactly over the connected (d+1)-vertex sets S that the big
   component of the forest can span (Edmonds 1965, matroid partition): one
   polynomial union per S, so the search is exponential only in
@@ -25,7 +25,7 @@ decides a combinatorial branch.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -330,27 +330,16 @@ def _is_spanning_tree(edges, n: int) -> bool:
     return len(edges) == n - 1 and _is_forest(edges, n)
 
 
-def spanning_forest(n: int, edges) -> frozenset[Edge]:
-    """A maximal forest of the given edge set (greedy over sorted edges)."""
-    return frozenset(_union_edges(n, sorted(edges))[1])
-
-
-def remainder_feasible(n: int, remainder_edges, d: int) -> bool:
-    """Whether some forest inside the remainder meets both the size bound
-    (more than (d-1)/d of n-1 edges) and the big-component requirement.
-
-    The maximal spanning forest of the remainder optimizes both at once:
-    a connected remainder gives a spanning tree (always enough); otherwise
-    the forest has n - c edges and its largest component matches the
-    largest remainder component.
-    """
-    parent, forest = _union_edges(n, remainder_edges)
-    c = n - len(forest)
-    if c == 1:
-        return True
-    if d * (n - c) <= (d - 1) * (n - 1):
-        return False
-    return max(Counter(_find(parent, v) for v in range(n)).values()) >= d + 1
+def _forest_faults(n: int, forest, d: int) -> list[str]:
+    """The conditions of P(k, d) that the forest F misses: CONDITION_B,
+    more than (d-1)/d of n-1 edges, and CONDITION_C, a component with d
+    edges unless F spans."""
+    faults = []
+    if d * len(forest) <= (d - 1) * (n - 1):
+        faults.append("CONDITION_B")
+    if len(forest) < n - 1 and max(map(len, _components_from_edges(n, forest))) <= d:
+        faults.append("CONDITION_C")
+    return faults
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +374,7 @@ def verify_pkd_witness(g: Graph, w: PackingWitness) -> list[str]:
     if not _is_forest(forest, g.n):
         violations.append("FOREST_INVALID")
     else:
-        if not (w.d * len(forest) > (w.d - 1) * (g.n - 1)):
-            violations.append("CONDITION_B")
-        if not _is_spanning_tree(forest, g.n):
-            comps = _components_from_edges(g.n, forest)
-            if max(len(c) for c in comps) < w.d + 1:
-                violations.append("CONDITION_C")
+        violations += _forest_faults(g.n, forest, w.d)
     return violations
 
 
@@ -453,8 +437,9 @@ def search_pkd_witness(
     Stage 1: k packed trees seed a (k+1)-part union whose last part is
     graphic(g); offering every edge gives the largest extra forest size f
     over all k-packings, and d*f <= (d-1)(n-1) settles REFUTED. Stage 2:
-    if the complement of the seeded trees passes `remainder_feasible`,
-    FOUND. Both report nodes = 0.
+    the union is maximal, so its extra forest is a maximal forest of the
+    edges outside its k trees; if it also meets condition C it is the
+    witness, FOUND. Both report nodes = 0.
 
     What is left has d < n - 1 (for d >= n - 1 only a spanning forest
     qualifies, and stage 1 or 2 settles it), so condition C holds exactly
@@ -465,12 +450,12 @@ def search_pkd_witness(
     `nodes` counts the sets tried; past `budget` of them the verdict is
     INCONCLUSIVE. FOUND always carries a verified witness.
     """
+    if g.n < 2:
+        raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     if k < 1 or d < 1:
         raise ToolError("PARAMETER_ERROR", "k and d must be >= 1")
     if budget < 1:
         raise ToolError("PARAMETER_ERROR", f"budget must be >= 1, got {budget}")
-    if g.n < 2:
-        raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "the search needs a connected graph")
 
@@ -481,11 +466,10 @@ def search_pkd_witness(
     forests.add_part(None)
     forests.insert_all(g.sorted_edges(), n - 1)
     *trees, forest = forests.edge_sets(n, k)
-    if d * len(forest) <= (d - 1) * (n - 1):
+    faults = _forest_faults(n, forest, d)
+    if "CONDITION_B" in faults:
         return PkdSearchResult("REFUTED", None, 0)
-    remainder = g.edges.difference(*trees)
-    if remainder_feasible(n, remainder, d):
-        forest = spanning_forest(n, remainder)
+    if not faults:
         return PkdSearchResult("FOUND", _build_witness(g, trees, forest, k, d), 0)
     tried = 0
     for s in _connected_sets(g, d + 1):
@@ -493,7 +477,7 @@ def search_pkd_witness(
             return PkdSearchResult("INCONCLUSIVE", None, tried)
         tried += 1
         found = _set_union(g, trees, s)
-        if found is not None and d * len(found[-1]) > (d - 1) * (n - 1):
+        if found is not None and not _forest_faults(n, found[-1], d):
             *trees, forest = found
             return PkdSearchResult("FOUND", _build_witness(g, trees, forest, k, d), tried)
     return PkdSearchResult("REFUTED", None, tried)
@@ -520,10 +504,9 @@ def lemma41_decompose(
     least min_degree + 1 vertices.
 
     The construction cuts one component along its intersection with a
-    witness subset; if that shatters it into more than two pieces, the
-    pieces are regrouped into two connected sides via a spanning tree of
-    the contracted piece graph, which keeps every removed edge inside the
-    candidate cut.
+    witness subset; the pieces that leaves are regrouped into two
+    connected sides via a spanning tree of the contracted piece graph,
+    which keeps every removed edge inside the candidate cut.
     """
     if k < 2:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 2, got {k}")
@@ -579,41 +562,13 @@ def lemma41_decompose(
     x1 = {e for e in comp_edges if (e[0] in inter) != (e[1] in inter)}
     keep = [e for e in comp_edges if e not in x1]
     pieces = [p for p in _components_from_edges(g.n, keep) if p <= comp]
-    if len(pieces) == 2:
-        x_prime = frozenset(x1)
-    else:
-        # contract the pieces, then bipartition them along one edge of a
-        # spanning tree of the contracted graph; the two sides stay
-        # connected and only candidate-cut edges cross between them
-        piece_of = {}
-        for pi, p in enumerate(pieces):
-            for v in p:
-                piece_of[v] = pi
-        h_adj: dict[int, set[int]] = {i: set() for i in range(len(pieces))}
-        for u, v in x1:
-            a, b = piece_of[u], piece_of[v]
-            if a != b:
-                h_adj[a].add(b)
-                h_adj[b].add(a)
-        tree = []
-        seen = {0}
-        dq = deque([0])
-        while dq:
-            a = dq.popleft()
-            for b in sorted(h_adj[a]):
-                if b not in seen:
-                    seen.add(b)
-                    tree.append((a, b))
-                    dq.append(b)
-        if len(seen) != len(pieces):
-            raise ToolError("NO_SPLIT_FOUND", "piece graph unexpectedly disconnected")
-        # dropping the tree's first edge leaves two subtrees
-        side = next(
-            c for c in _components_from_edges(len(pieces), tree[1:]) if tree[0][0] in c
-        )
-        x_prime = frozenset(
-            e for e in x1 if (piece_of[e[0]] in side) != (piece_of[e[1]] in side)
-        )
+    # contract the pieces and drop the first edge of a spanning tree of the
+    # contracted graph: the two subtrees are connected sides, and only x1
+    # edges cross between them (all of x1 when there are two pieces)
+    piece_of = {v: pi for pi, p in enumerate(pieces) for v in p}
+    _, tree = _union_edges(len(pieces), sorted({(piece_of[u], piece_of[v]) for u, v in x1}))
+    side = next(c for c in _components_from_edges(len(pieces), tree[1:]) if tree[0][0] in c)
+    x_prime = frozenset(e for e in x1 if (piece_of[e[0]] in side) != (piece_of[e[1]] in side))
 
     final = sorted(
         _components_from_edges(g.n, g.edges - xset - x_prime), key=lambda s: min(s)

@@ -56,9 +56,6 @@ class QuotientMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     partition: tuple[VertexSet, ...]
 
-    def trace_exact(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.t)), Fraction(0))
-
     def symmetrized(self) -> SymmetricMatrix:
         """Exact similarity by sqrt(block size): entry (i, j) becomes
         -crossing/sqrt(|Vi| |Vj|), which is symmetric by construction."""

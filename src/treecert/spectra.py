@@ -53,12 +53,6 @@ class SymmetricMatrix:
                         "SHAPE_ERROR", f"asymmetric entries at ({i},{j})"
                     )
 
-    def trace(self) -> float:
-        return sum(self.rows[i][i] for i in range(self.order))
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(sum(x * x for r in self.rows for x in r))
-
 
 def matrix_from_rows(rows) -> SymmetricMatrix:
     tup = tuple(tuple(float(x) for x in r) for r in rows)
@@ -72,10 +66,6 @@ def mat_add(a: SymmetricMatrix, b: SymmetricMatrix) -> SymmetricMatrix:
     return matrix_from_rows(
         [[a.rows[i][j] + b.rows[i][j] for j in range(n)] for i in range(n)]
     )
-
-
-def mat_scale(a: SymmetricMatrix, c: float) -> SymmetricMatrix:
-    return matrix_from_rows([[c * x for x in r] for r in a.rows])
 
 
 def build_matrix(g: Graph, a: float, b: float) -> SymmetricMatrix:

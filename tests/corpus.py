@@ -28,7 +28,8 @@ from treecert import (
     min_cut_sides,
 )
 from treecert.graphs import boundary_size_mask
-from treecert.packing import remainder_feasible
+from treecert.packing import _forest_faults, _union_edges
+from treecert.spectra import matrix_from_rows
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
 
@@ -373,6 +374,15 @@ class _RollbackDSU:
         self.parent[ru] = ru
 
 
+def remainder_feasible(n: int, remainder_edges, d: int) -> bool:
+    """Whether some forest inside the remainder meets conditions B and C
+    of P(k, d). A maximal forest of the remainder is the largest one and
+    has the largest components, so it decides both; a spanning one always
+    qualifies (at n = 1 too, where it has no edges)."""
+    forest = _union_edges(n, remainder_edges)[1]
+    return len(forest) == n - 1 or not _forest_faults(n, forest, d)
+
+
 class _Verdict(Exception):
     def __init__(self, status: str):
         self.status = status
@@ -430,6 +440,23 @@ def enumerate_packings(g: Graph, k: int, d: int, budget=math.inf) -> tuple[str, 
     return "REFUTED", nodes
 
 
+def trace(m) -> float:
+    return sum(m.rows[i][i] for i in range(m.order))
+
+
+def frobenius_norm(m) -> float:
+    return math.sqrt(sum(x * x for r in m.rows for x in r))
+
+
+def mat_scale(m, c: float):
+    return matrix_from_rows([[c * x for x in r] for r in m.rows])
+
+
+def trace_exact(q) -> Fraction:
+    """The exact trace of a QuotientMatrix."""
+    return sum((q.entries[i][i] for i in range(q.t)), Fraction(0))
+
+
 def jacobi_eigenvalues(m) -> tuple[float, ...]:
     """Accuracy oracle: all eigenvalues of the SymmetricMatrix m by cyclic
     Jacobi rotations, sorted non-increasing. Converged once the
@@ -438,7 +465,7 @@ def jacobi_eigenvalues(m) -> tuple[float, ...]:
     eigenvalue."""
     n = m.order
     a = [list(r) for r in m.rows]
-    threshold = 1e-13 * m.frobenius_norm()
+    threshold = 1e-13 * frobenius_norm(m)
 
     def off_norm() -> float:
         return math.sqrt(2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))

@@ -31,8 +31,8 @@ from treecert import (
     tau_packing,
     validate_gt_witness,
 )
-from treecert.packing import _is_spanning_tree, remainder_feasible
-from treecert.spectra import build_matrix, mat_scale, matrix_from_rows
+from treecert.packing import _is_spanning_tree
+from treecert.spectra import build_matrix, matrix_from_rows
 
 from corpus import (
     all_connected_graphs,
@@ -40,14 +40,17 @@ from corpus import (
     cycle,
     desk_corpus,
     exists_good_forest_bruteforce,
+    mat_scale,
     nu_f_bruteforce,
     path,
     random_connected_graph,
     random_graph,
+    remainder_feasible,
     shipped_config,
     small_cut_scan,
     star,
     tau_partition_bruteforce,
+    trace,
 )
 
 
@@ -228,7 +231,7 @@ def test_criterion_7_eigensolver_accuracy():
     for _ in range(500):
         g = random_graph(rng, 2, 12, p=rng.choice([0.2, 0.5, 0.8]))
         m = build_matrix(g, 1, -1)
-        worst = max(worst, abs(sum(sym_eigenvalues(m)) - m.trace()))
+        worst = max(worst, abs(sum(sym_eigenvalues(m)) - trace(m)))
     ok = ok and worst <= 1e-8
     _report(7, ok, f"worst trace deviation {worst:.2e}")
 

@@ -183,6 +183,17 @@ def test_parameter_error_exit_2(capsys, graph_file):
     assert "PARAMETER_ERROR" in err
 
 
+def test_certify_one_vertex_graph_is_too_small(capsys, graph_file):
+    # the default cross-check searches at d = min degree = 0; the graph is
+    # too small before d is out of range
+    code, _, err = run(
+        capsys,
+        ["certify", "--input", graph_file("1 0\n"), "--theorem", "thm5.1", "--k", "1"],
+    )
+    assert code == 2
+    assert "TOO_SMALL" in err and "PARAMETER_ERROR" not in err
+
+
 def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     k7 = "7 21\n" + "\n".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
     k13 = "13 78\n" + "\n".join(f"{u} {v}" for u in range(13) for v in range(u + 1, 13))

@@ -280,6 +280,23 @@ def test_gnp_skipped_rows():
     assert report.summary["skipped"] == 2
 
 
+def test_one_vertex_graphs_are_too_small_rows_beside_a_normal_family():
+    # a one-vertex graph has no partition into two blocks for the quotient check
+    normal = {"family": "complete", "params": {"n": 7}, "seed": 0, "trials": 1}
+    tiny = [
+        {"family": "complete", "params": {"n": 1}, "seed": 0, "trials": 1},
+        {"family": "path", "params": {"n": 1}, "seed": 0, "trials": 1},
+        {"family": "gnp", "params": {"n": 1, "p": 0.5}, "seed": 3, "trials": 2},
+    ]
+    report = run_experiment(_tiny_config(families=tiny + [normal]))
+    *small, row = report.rows
+    assert [r["error"] for r in small] == ["TOO_SMALL"] * 4
+    assert all("certificates" not in r and r["graph"]["n"] == 1 for r in small)
+    assert report.summary["errors"] == 4
+    (alone,) = run_experiment(_tiny_config(families=[normal])).rows
+    assert {**row, "trial": 0} == alone
+
+
 def test_interlacing_recorded_per_trial():
     report = run_experiment(_tiny_config())
     inter = report.summary["interlacing"]

@@ -12,6 +12,7 @@ from treecert import (
     ToolError,
     build_graph,
     generate,
+    is_connected,
     lemma41_decompose,
     lemma41_gadget_fixture,
     nu_f_exact,
@@ -28,8 +29,6 @@ from treecert.packing import (
     _is_spanning_tree,
     _connected_sets,
     _set_union,
-    remainder_feasible,
-    spanning_forest,
 )
 
 from corpus import (
@@ -42,6 +41,7 @@ from corpus import (
     nu_f_bruteforce,
     path,
     random_connected_graph,
+    remainder_feasible,
     star,
     tau_partition_bruteforce,
 )
@@ -375,6 +375,52 @@ def test_seeded_decision_matches_enumeration():
     assert fallbacks["FOUND"] >= 2 and fallbacks["REFUTED"] >= 1
 
 
+def test_stage_one_forest_has_the_components_of_the_edges_outside_the_trees(monkeypatch):
+    """Stage 2 decides on the stage-1 extra forest. The union is maximal,
+    so that forest is a maximal forest of E - trees: no edge outside the
+    trees joins two of its components."""
+    from treecert import packing
+
+    first = []
+    edge_sets = packing._Forests.edge_sets
+
+    def spy(self, n, trees):
+        out = edge_sets(self, n, trees)
+        first.append(out)
+        return out
+
+    monkeypatch.setattr(packing._Forests, "edge_sets", spy)
+    rng = random.Random(18)
+    sample = [
+        generate(FamilySpec("gnp", {"n": n, "p": p}, seed=rng.getrandbits(32)))
+        for n in range(4, 15)
+        for p in (0.4, 0.6, 0.8)
+    ]
+    sample += [
+        generate(FamilySpec("random_regular", {"n": n, "r": r}, seed=seed))
+        for n, r in [(8, 3), (8, 5), (10, 4), (10, 6), (12, 5), (14, 8)]
+        for seed in (1, 2)
+    ]
+    sample += clique_chains(12)
+    cases = 0
+    for g in sample:
+        if not is_connected(g):
+            continue
+        for k in (1, 2, 3):
+            first.clear()
+            search_pkd_witness(g, k, g.min_degree)
+            if not first:  # fewer than k spanning trees
+                continue
+            *trees, forest = first[0]
+            rest = g.edges.difference(*trees)
+            assert forest <= rest
+            assert sorted(map(sorted, _components_from_edges(g.n, forest))) == sorted(
+                map(sorted, _components_from_edges(g.n, rest))
+            ), (sorted(g.edges), k)
+            cases += 1
+    assert cases >= 150
+
+
 def _same_connected_sets(g):
     for size in range(1, g.n + 1):
         listed = list(_connected_sets(g, size))
@@ -518,19 +564,6 @@ def test_remainder_reduction_matches_enumeration():
         edges = pool[: rng.randint(0, min(len(pool), 12))]
         d = rng.randint(1, 4)
         assert remainder_feasible(n, edges, d) == exists_good_forest_bruteforce(n, edges, d)
-
-
-def test_spanning_forest_is_maximal():
-    rng = random.Random(8)
-    for _ in range(30):
-        n = rng.randint(3, 8)
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = [e for e in pool if rng.random() < 0.4]
-        f = spanning_forest(n, edges)
-        assert _is_forest(f, n)
-        from treecert.packing import _components_from_edges
-
-        assert len(f) == n - len(_components_from_edges(n, edges))
 
 
 # ---------------------------------------------------------------------------
