@@ -36,12 +36,7 @@ from fractions import Fraction
 from .connectivity import edge_connectivity, gt_membership
 from .errors import ToolError
 from .graphs import Graph, is_connected
-from .packing import (
-    DEFAULT_BUDGET,
-    PkdSearchResult,
-    nu_f_exact,
-    search_pkd_witness,
-)
+from .packing import DEFAULT_BUDGET, nu_f_exact, search_pkd_witness
 from .spectra import eigenvalue_clears, spectral_profile
 
 CROSS_DEFAULT_ON_MAX_N = 10
@@ -151,13 +146,18 @@ def is_int(value) -> bool:
 
 def rational(value, name: str, code: str = "PARAMETER_ERROR") -> Fraction:
     """`value` as an exact Fraction: a Fraction as it is, anything else read
-    from its text, so a float is its decimal (0.1 -> 1/10); a bool fails."""
-    if type(value) is Fraction:
-        return value
+    from its text, so a float is its decimal (0.1 -> 1/10); a bool fails.
+    A value past the float range is NON_FINITE, since reports carry floats."""
+    if type(value) is not Fraction:
+        try:
+            value = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ToolError(code, f"{name} is not a rational number: {value!r}") from None
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ToolError(code, f"{name} is not a rational number: {value!r}") from None
+        float(value)
+    except OverflowError:
+        raise ToolError("NON_FINITE", f"{name} exceeds the float range") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -230,49 +230,29 @@ class CertificateReport:
         }
 
 
-def cross_verify_on(n: int, requested: bool | None = None) -> bool:
-    """Whether a graph of order n gets the ground-truth cross-check: by
-    default up to CROSS_DEFAULT_ON_MAX_N vertices; an explicit request
-    above CROSS_VERIFY_CAP is an error, not a silent skip."""
-    if requested is None:
-        return n <= CROSS_DEFAULT_ON_MAX_N
-    if requested and n > CROSS_VERIFY_CAP:
-        raise ToolError("TOO_LARGE", f"cross-verification is capped at n={CROSS_VERIFY_CAP}")
-    return requested
-
-
-def _cross_check(
-    g: Graph,
-    req: CertificateRequest,
-    outcome: str,
-    d_used: int,
-    budget: int,
-    precomputed: PkdSearchResult | None,
-) -> CrossCheck | None:
-    if not cross_verify_on(g.n, req.cross_verify):
-        return None
-    res = precomputed
-    if res is None:
-        res = search_pkd_witness(g, req.k, d_used, budget=budget)
-    consistent = not (outcome == "CERTIFIED" and res.status == "REFUTED")
-    return CrossCheck(status=res.status, consistent=consistent)
-
-
 def certify(
     g: Graph,
     req: CertificateRequest,
     budget: int = DEFAULT_BUDGET,
-    cross_result: PkdSearchResult | None = None,
+    searches: dict | None = None,
 ) -> CertificateReport:
     """Evaluate one sufficient condition on a connected graph.
 
     Returns a report with the hypothesis checks, the measured quantity,
     the exact threshold and one of HYPOTHESIS_FAILED / CONDITION_FAILS /
-    CERTIFIED. `cross_result` lets batch runners share one
-    ground-truth search across many conditions with the same (k, d).
+    CERTIFIED. The ground-truth cross-check searches P(k, d) at the d of
+    the conclusion: by default on graphs of up to CROSS_DEFAULT_ON_MAX_N
+    vertices; an explicit request above CROSS_VERIFY_CAP is TOO_LARGE
+    before any other work. `searches` is a memo the caller owns, keyed on
+    (graph, k, d, budget), so the conditions of one graph share a search.
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
+    cross_on = req.cross_verify
+    if cross_on is None:
+        cross_on = g.n <= CROSS_DEFAULT_ON_MAX_N
+    elif cross_on and g.n > CROSS_VERIFY_CAP:
+        raise ToolError("TOO_LARGE", f"cross-verification is capped at n={CROSS_VERIFY_CAP}")
     checks = {"parameter_constraints": True, "min_degree": True, "class_membership": True}
     if req.theorem_id == "thm1.1":
         d = req.d
@@ -298,7 +278,14 @@ def certify(
             passes = eigenvalue_clears(g, a_used, b_used, side, index, threshold, measured)
     outcome = "HYPOTHESIS_FAILED" if passes is None else "CERTIFIED" if passes else "CONDITION_FAILS"
     conclusion = f"P({req.k},{d}) holds" if passes else None
-    cross = _cross_check(g, req, outcome, d, budget, cross_result)
+    cross = None
+    if cross_on:
+        memo = {} if searches is None else searches
+        key = (g, req.k, d, budget)
+        if key not in memo:
+            memo[key] = search_pkd_witness(g, req.k, d, budget=budget)
+        status = memo[key].status
+        cross = CrossCheck(status, consistent=not (passes and status == "REFUTED"))
     return CertificateReport(
         theorem_id=req.theorem_id, k=req.k, d=d, a=req.a, b=req.b,
         hypothesis_checks=checks, measured=measured, threshold=threshold,

@@ -147,6 +147,9 @@ def _cmd_experiment(args) -> int:
     except json.JSONDecodeError as err:
         raise ToolError("CONFIG_ERROR", f"bad config JSON: {err}")
     cfg = ExperimentConfig.from_dict(data)
+    if args.out:  # refuse an unwritable report path before any trial, truncating nothing
+        for path in (args.out, args.out + ".csv"):
+            open(path, "a").close()
     report = run_experiment(cfg, jobs=args.jobs)
     text = report.to_jsonl()
     if args.out:

@@ -135,7 +135,7 @@ def test_eigenvalue_at_its_threshold_fails(monkeypatch):
         assert (rep.conclusion is not None) == (outcome == "CERTIFIED")
 
 
-def test_cross_verify_defaults():
+def test_cross_verify_defaults(monkeypatch):
     This = certify(complete(7), CertificateRequest("thm5.1", k=2))
     assert This.cross_check is not None  # n <= 10: on by default
     big = certify(complete(11), CertificateRequest("thm5.1", k=2))
@@ -144,11 +144,65 @@ def test_cross_verify_defaults():
         complete(11), CertificateRequest("thm5.1", k=2, cross_verify=True)
     )
     assert forced.cross_check is not None and forced.cross_check.consistent
-    # above the cap an explicit request fails; the default stays off
+    # above the cap an explicit request fails before any other work; the
+    # default stays off
     assert certify(complete(13), CertificateRequest("thm5.1", k=2)).cross_check is None
+
+    def boom(*_):
+        raise AssertionError("hypothesis or spectral work ran before the cross-check cap")
+
+    for name in ("spectral_profile", "gt_membership", "nu_f_exact"):
+        monkeypatch.setattr(certify_module, name, boom)
+    for tid, d in (("thm5.1", None), ("thm1.2", None), ("thm1.1", 2)):
+        with pytest.raises(ToolError) as err:
+            certify(complete(13), CertificateRequest(tid, k=2, d=d, cross_verify=True))
+        assert err.value.code == "TOO_LARGE", tid
+
+
+def test_one_searches_memo_answers_each_graph_and_budget_for_itself():
+    # thm1.1 asks P(1, 2) of both graphs: FOUND on K5, REFUTED on C5
+    req = CertificateRequest("thm1.1", k=1, d=2)
+    alone = {g: certify(g, req).cross_check for g in (complete(5), cycle(5))}
+    assert {c.status for c in alone.values()} == {"FOUND", "REFUTED"}
+    for order in (list(alone), list(alone)[::-1]):
+        searches: dict = {}
+        for g in order:
+            assert certify(g, req, searches=searches).cross_check == alone[g]
+        assert len(searches) == 2
+    # a search cut short by a small budget does not answer for a larger one
+    chain = generate(FamilySpec("clique_chain", {"blocks": 2, "q": 4}))
+    req = CertificateRequest("thm1.1", k=1, d=4)
+    searches = {}
+    assert certify(chain, req, budget=1, searches=searches).cross_check.status == "INCONCLUSIVE"
+    assert certify(chain, req, searches=searches).cross_check.status == "REFUTED"
+
+
+def test_a_or_b_past_the_float_range_is_refused_when_the_request_is_built(monkeypatch):
+    for tid, params in (
+        ("cor5.2i", {"a": "1e400"}),
+        ("cor5.2i", {"a": Fraction(10**400)}),
+        ("cor5.2i", {"a": 10**400}),
+        ("cor5.2ii", {"a": 1, "b": "1e400"}),
+        ("cor5.2iii", {"a": 1, "b": "-1e400"}),
+    ):
+        with pytest.raises(ToolError) as err:
+            CertificateRequest(tid, k=1, **params)
+        assert err.value.code == "NON_FINITE", (tid, params)
+    # tiny values round to a float and stay accepted
+    assert CertificateRequest("cor5.2i", k=1, a="1e-400").a == Fraction(1, 10**400)
+
+    # a config grid holding such a value stops before any trial
+    def never(_):
+        raise AssertionError("a trial ran before the grid was checked")
+
+    monkeypatch.setattr(harness, "_run_trial", never)
+    cfg = ExperimentConfig(
+        families=[{"family": "complete", "params": {"n": 8}}],
+        theorems=["cor5.2i"], k_grid=[1], a_grid=[1, "1e400"],
+    )
     with pytest.raises(ToolError) as err:
-        certify(complete(13), CertificateRequest("thm5.1", k=2, cross_verify=True))
-    assert err.value.code == "TOO_LARGE"
+        run_experiment(cfg)
+    assert err.value.code == "NON_FINITE"
 
 
 def test_certify_disconnected():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from treecert import harness
 from treecert.cli import main
 
 
@@ -21,6 +22,7 @@ K5 = "5 10\n" + "\n".join(
     f"{u} {v}" for u in range(5) for v in range(u + 1, 5)
 ) + "\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
+C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 P3 = "3 2\n0 1\n1 2\n"
 # two K4s joined by the edge 0-4
 CLIQUE_CHAIN = "8 13\n" + "\n".join(
@@ -194,6 +196,28 @@ def test_certify_one_vertex_graph_is_too_small(capsys, graph_file):
     assert "TOO_SMALL" in err and "PARAMETER_ERROR" not in err
 
 
+def test_experiment_refuses_an_unwritable_out_before_any_trial(capsys, tmp_path, monkeypatch):
+    def never(_):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(harness, "_run_trial", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"families": [{"family": "complete", "params": {"n": 6}}], "theorems": ["thm5.1"],
+         "k_grid": [1]}
+    ))
+    experiment = ["experiment", "--config", str(cfg_path), "--out"]
+    code, out, err = run(capsys, experiment + [str(tmp_path / "missing" / "r.jsonl")])
+    assert code == 2 and out == "" and "error IO" in err
+    # the .csv beside an existing report cannot be written: the report stays as it was
+    report = tmp_path / "r.jsonl"
+    report.write_text("old report\n")
+    (tmp_path / "r.jsonl.csv").mkdir()
+    code, out, err = run(capsys, experiment + [str(report)])
+    assert code == 2 and out == "" and "error IO" in err
+    assert report.read_text() == "old report\n"
+
+
 def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     k7 = "7 21\n" + "\n".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
     k13 = "13 78\n" + "\n".join(f"{u} {v}" for u in range(13) for v in range(u + 1, 13))
@@ -218,8 +242,11 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     k4 = graph_file(K4, "k4.txt")
     cases = [
         # a*deg overflows to inf; 1e400 overflows the float conversion itself
-        (["spectrum", "--input", graph_file(K4), "--a", "1e308"], "NON_FINITE"),
-        (["spectrum", "--input", graph_file(K4), "--a", "1e400"], "NON_FINITE"),
+        (["spectrum", "--input", k4, "--a", "1e308"], "NON_FINITE"),
+        (["spectrum", "--input", k4, "--a", "1e400"], "NON_FINITE"),
+        # C5 fails the degree hypothesis; its report used to overflow on float(a)
+        (["certify", "--input", graph_file(C5, "c5.txt"), "--theorem", "cor5.2i", "--k", "1",
+          "--a", "1e400"], "NON_FINITE"),
         (
             ["certify", "--input", graph_file(k13), "--theorem", "thm5.1", "--k", "2",
              "--cross-verify"],

@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -10,6 +12,7 @@ from treecert import (
     THEOREM_IDS,
     ExperimentConfig,
     FamilySpec,
+    PkdSearchResult,
     ToolError,
     edge_connectivity,
     generate,
@@ -22,6 +25,9 @@ from treecert import (
 from treecert.cli import main
 
 from corpus import complete, random_regular_reference, shipped_config
+
+# the package exports the function `certify` under the module's name
+certify_module = importlib.import_module("treecert.certify")
 
 
 def test_generate_complete():
@@ -169,10 +175,12 @@ def test_generate_spec_errors():
         ("clique_chain", {"blocks": 1, "q": 3}),
         ("clique_star", {"pendants": 1, "q": 3}),
         ("mystery", {"n": 3}),
+        ("clique_chain", {"blocks": 2, "q": 4, "link": 3}),  # a misspelt `links`
     ]:
         with pytest.raises(ToolError) as err:
             generate(FamilySpec(fam, params))
         assert err.value.code == "SPEC_ERROR"
+    assert "'link'" in err.value.message
 
 
 def test_generate_refuses_more_than_max_vertices():
@@ -295,6 +303,42 @@ def test_one_vertex_graphs_are_too_small_rows_beside_a_normal_family():
     assert report.summary["errors"] == 4
     (alone,) = run_experiment(_tiny_config(families=[normal])).rows
     assert {**row, "trial": 0} == alone
+
+
+def test_each_trial_runs_one_search_per_distinct_k_and_d(monkeypatch):
+    # thm1.1 asks d = 1 and 2, the eigenvalue conditions d = delta: 5 on K6,
+    # 2 on C5, where it meets thm1.1's d = 2
+    cfg = ExperimentConfig(
+        families=[
+            {"family": "complete", "params": {"n": 6}, "trials": 2},
+            {"family": "cycle", "params": {"n": 5}, "trials": 2},
+        ],
+        theorems=["thm1.1", "thm5.1", "cor5.3i"], k_grid=[1, 2], d_grid=[1, 2],
+    )
+    plain = run_experiment(cfg, jobs=1).rows
+    search, calls = certify_module.search_pkd_witness, []
+
+    def counted(g, k, d, budget):
+        calls.append((g.n, k, d))
+        return search(g, k, d, budget=budget)
+
+    monkeypatch.setattr(certify_module, "search_pkd_witness", counted)
+    assert run_experiment(cfg, jobs=1).rows == plain
+    per_trial = {6: {1, 2, 5}, 5: {1, 2}}
+    want = {(n, k, d): 2 for n, ds in per_trial.items() for k in (1, 2) for d in ds}
+    assert Counter(calls) == want and len(calls) == 2 * 2 * 3 + 2 * 2 * 2
+
+
+def test_a_certified_row_the_search_refutes_is_a_counterexample(monkeypatch):
+    monkeypatch.setattr(
+        certify_module, "search_pkd_witness", lambda *_, **__: PkdSearchResult("REFUTED", None, 0)
+    )
+    report = run_experiment(_tiny_config())
+    certs = [c for row in report.rows for c in row.get("certificates", ())]
+    certified = sum(c.get("outcome") == "CERTIFIED" for c in certs)
+    assert certified > 0
+    assert sum(c.get("consistent") is False for c in certs) == certified
+    assert report.summary["counterexamples"] == certified
 
 
 def test_interlacing_recorded_per_trial():
