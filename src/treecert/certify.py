@@ -31,6 +31,7 @@ subset scans they replaced are test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .connectivity import edge_connectivity, gt_membership
@@ -144,20 +145,57 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Digits allowed in the numerator and in the denominator of a or b. The
+# inertia counts run on integers that long, and a report prints thresholds
+# built from them (Python prints no int past 4300 digits).
+MAX_DIGITS = 500
+
+
 def rational(value, name: str, code: str = "PARAMETER_ERROR") -> Fraction:
-    """`value` as an exact Fraction: a Fraction as it is, anything else read
-    from its text, so a float is its decimal (0.1 -> 1/10); a bool fails.
-    A value past the float range is NON_FINITE, since reports carry floats."""
-    if type(value) is not Fraction:
-        try:
-            value = Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            raise ToolError(code, f"{name} is not a rational number: {value!r}") from None
+    """`value` as an exact Fraction: a Fraction or an int as it is, anything
+    else read from its text by `_read`, so a float is its decimal
+    (0.1 -> 1/10); a bool fails. A value past the float range is
+    NON_FINITE, since reports carry floats, and one whose numerator or
+    denominator has more than MAX_DIGITS digits fails with `code`."""
+    if is_int(value):
+        value = Fraction(value)
+    elif type(value) is not Fraction:
+        value = _read(value, name, code)
     try:
         float(value)
     except OverflowError:
         raise ToolError("NON_FINITE", f"{name} exceeds the float range") from None
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        raise _too_long(name, code)
     return value
+
+
+def _too_long(name: str, code: str) -> ToolError:
+    return ToolError(code, f"{name} needs more than {MAX_DIGITS} digits above or below the line")
+
+
+def _read(value, name: str, code: str) -> Fraction:
+    """Fraction(str(value)), refused by the digits and the exponent of each
+    side of the text, as `Decimal` reads them, before any integer is built:
+    a huge exponent would cost a huge power of ten."""
+    text = str(value)
+    try:
+        sides = [Decimal(s) for s in text.split("/", 1)]
+    except ArithmeticError:
+        sides = []
+    if sides and all(s.is_finite() for s in sides):
+        top, bottom = sides[0], sides[1] if len(sides) == 2 else Decimal(1)
+        if top and bottom and top.adjusted() - bottom.adjusted() > 309:  # |value| >= 10^309
+            raise ToolError("NON_FINITE", f"{name} exceeds the float range")
+        for s in sides:
+            _, digits, exp = s.as_tuple()
+            if max(len(digits) + max(exp, 0), 1 - min(exp, 0)) > MAX_DIGITS:
+                raise _too_long(name, code)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ToolError(code, f"{name} is not a rational number: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -147,16 +147,24 @@ def _cmd_experiment(args) -> int:
     except json.JSONDecodeError as err:
         raise ToolError("CONFIG_ERROR", f"bad config JSON: {err}")
     cfg = ExperimentConfig.from_dict(data)
-    if args.out:  # refuse an unwritable report path before any trial, truncating nothing
-        for path in (args.out, args.out + ".csv"):
-            open(path, "a").close()
-    report = run_experiment(cfg, jobs=args.jobs)
-    text = report.to_jsonl()
-    if args.out:
-        Path(args.out).write_text(text)
-        Path(args.out + ".csv").write_text(report.aggregates_csv())
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(run_experiment(cfg, jobs=args.jobs).to_jsonl())
+        return 0
+    paths, created = (Path(args.out), Path(args.out + ".csv")), []
+    try:  # refuse an unwritable report path before any trial, truncating nothing
+        for path in paths:
+            try:
+                path.open("x").close()
+                created.append(path)
+            except FileExistsError:
+                path.open("a").close()
+        report = run_experiment(cfg, jobs=args.jobs)
+        paths[0].write_text(report.to_jsonl())
+        paths[1].write_text(report.aggregates_csv())
+    except BaseException:  # a failed run leaves no file the probe made
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
     return 0
 
 

@@ -18,20 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ToolError
-from .graphs import Graph, VertexSet, boundary_size, components, is_connected
+from .graphs import Graph, VertexSet, _mask_to_set, boundary_size, components
+from .graphs import is_connected
 
 # Vertex entries over all sides `min_cut_sides` lists (n per cut: its side
 # and the complement). C100 lists 495 000; C1000 would list about 10^9.
 SIDE_OUTPUT_CAP = 1_000_000
-
-
-def _mask_to_set(mask: int) -> VertexSet:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return frozenset(out)
 
 
 def _canon_key(s: VertexSet) -> tuple[int, tuple[int, ...]]:
@@ -80,9 +72,12 @@ def _flows(g: Graph):
     stopped at the best value so far plus one (kappa' <= delta starts it).
     Yields (flow, t, residual capacities, residual reach-set of 0) for
     every flow at or below the best so far; those flows ran to completion."""
+    unit: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v in g.sorted_edges():
+        unit[u][v] = unit[v][u] = 1
     best = g.min_degree
     for t in range(1, g.n):
-        cap = [dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)]
+        cap = [arcs.copy() for arcs in unit]
         flow, reached = max_flow(cap, 0, t, stop=best + 1)
         if flow <= best:
             best = flow

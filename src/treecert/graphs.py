@@ -1,8 +1,11 @@
 """Immutable simple-graph representation plus ingestion and basic queries.
 
 Vertices are dense integer labels 0..n-1 so they double as matrix indices.
-Graphs are frozen after construction; degree data is derived at build time
-and the whole value is hashable, which lets higher layers memoize on it.
+Graphs are frozen after construction; the neighbours of v are the bitmask
+adj_bits[v], degree data is derived at build time and the whole value is
+hashable, which lets higher layers memoize on it. Vertex sets, boundaries
+and components each have one route here; the union-find also serves the
+forests of `packing`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ def edge(u: int, v: int) -> Edge:
 class Graph:
     n: int
     edges: frozenset[Edge]
-    adjacency: tuple[VertexSet, ...] = field(compare=False)
     adj_bits: tuple[int, ...] = field(compare=False)
     degrees: tuple[int, ...] = field(compare=False)
     min_degree: int = field(compare=False)
@@ -60,18 +62,14 @@ def build_graph(n: int, edge_list) -> Graph:
         if e in seen:
             raise ToolError("DUPLICATE_EDGE", f"edge ({e[0]},{e[1]}) repeated")
         seen.add(e)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
     bits = [0] * n
     for u, v in seen:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
         bits[u] |= 1 << v
         bits[v] |= 1 << u
-    degs = tuple(len(s) for s in nbrs)
+    degs = tuple(b.bit_count() for b in bits)
     return Graph(
         n=n,
         edges=frozenset(seen),
-        adjacency=tuple(frozenset(s) for s in nbrs),
         adj_bits=tuple(bits),
         degrees=degs,
         min_degree=min(degs),
@@ -219,6 +217,19 @@ def _check_vertex_set(g: Graph, s, name: str) -> VertexSet:
     return fs
 
 
+def _set_to_mask(s) -> int:
+    return sum(1 << v for v in s)  # s has no repeats
+
+
+def _mask_to_set(mask: int) -> VertexSet:
+    out = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        out.append(v)
+        mask &= mask - 1
+    return frozenset(out)
+
+
 def cut_size(g: Graph, x, y) -> int:
     """Number of edges with one endpoint in x and the other in y.
 
@@ -228,51 +239,54 @@ def cut_size(g: Graph, x, y) -> int:
     ys = _check_vertex_set(g, y, "y")
     if xs & ys:
         raise ToolError("DISJOINTNESS_VIOLATION", "x and y overlap")
-    ymask = 0
-    for v in ys:
-        ymask |= 1 << v
+    ymask = _set_to_mask(ys)
     return sum((g.adj_bits[u] & ymask).bit_count() for u in xs)
 
 
 def boundary_size(g: Graph, s) -> int:
     """Edges leaving s, i.e. cut_size(g, s, V \\ s)."""
-    ss = _check_vertex_set(g, s, "s")
-    mask = 0
-    for v in ss:
-        mask |= 1 << v
-    return boundary_size_mask(g, mask)
+    return boundary_size_mask(g, _set_to_mask(_check_vertex_set(g, s, "s")))
 
 
 def boundary_size_mask(g: Graph, mask: int) -> int:
-    total = 0
     rest = ~mask
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        total += (g.adj_bits[v] & rest).bit_count()
-        m &= m - 1
-    return total
+    return sum((g.adj_bits[v] & rest).bit_count() for v in _mask_to_set(mask))
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]  # path halving
+        x = parent[x]
+    return x
+
+
+def _union_edges(n: int, edges) -> tuple[list[int], list[Edge]]:
+    """One union-find pass over the edges in the given order: the final
+    parent array and the edges that joined two components, which form a
+    maximal forest of the edge set."""
+    parent = list(range(n))
+    joined = []
+    for e in edges:
+        ru, rv = _find(parent, e[0]), _find(parent, e[1])
+        if ru != rv:
+            parent[ru] = rv
+            joined.append(e)
+    return parent, joined
+
+
+def _components_from_edges(n: int, edges) -> list[VertexSet]:
+    """The vertex sets of the components of ({0..n-1}, edges), ordered by
+    smallest member."""
+    parent, _ = _union_edges(n, edges)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(_find(parent, v), []).append(v)
+    return [frozenset(vs) for vs in groups.values()]
 
 
 def components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    seen = [False] * g.n
-    comps: list[VertexSet] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return _components_from_edges(g.n, g.edges)
 
 
 # Callers ask about one graph many times in a row (once per condition),

@@ -32,7 +32,8 @@ from functools import lru_cache
 
 from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_witness
 from .errors import ToolError
-from .graphs import Edge, Graph, VertexSet, components, edge, is_connected
+from .graphs import Edge, Graph, VertexSet, boundary_size, components, edge, is_connected
+from .graphs import _components_from_edges, _mask_to_set, _union_edges
 
 DEFAULT_BUDGET = 100_000  # connected (d+1)-vertex sets tried by search_pkd_witness
 
@@ -293,35 +294,6 @@ def tau_packing(g: Graph) -> int:
 # forest helpers
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]  # path halving
-        x = parent[x]
-    return x
-
-
-def _union_edges(n: int, edges) -> tuple[list[int], list[Edge]]:
-    """One union-find pass over the edges in the given order: the final
-    parent array and the edges that joined two components, which form a
-    maximal forest of the edge set."""
-    parent = list(range(n))
-    joined = []
-    for e in edges:
-        ru, rv = _find(parent, e[0]), _find(parent, e[1])
-        if ru != rv:
-            parent[ru] = rv
-            joined.append(e)
-    return parent, joined
-
-
-def _components_from_edges(n: int, edges) -> list[VertexSet]:
-    parent, _ = _union_edges(n, edges)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(_find(parent, v), []).append(v)
-    return [frozenset(vs) for vs in groups.values()]
-
-
 def _is_forest(edges, n: int) -> bool:
     return len(_union_edges(n, edges)[1]) == len(edges)
 
@@ -418,7 +390,7 @@ def _connected_sets(g: Graph, size: int):
         while stack:
             bits, dropped, nbrs = stack.pop()
             if bits.bit_count() == size:
-                yield frozenset(v for v in range(r, g.n) if bits >> v & 1)
+                yield _mask_to_set(bits)
                 continue
             frontier = nbrs & ~bits & ~dropped & (-1 << (r + 1))
             if frontier:
@@ -525,12 +497,7 @@ def lemma41_decompose(
         raise ToolError(
             "WRONG_COMPONENT_COUNT", f"cut leaves {len(comps)} components, need 3"
         )
-    r = []
-    for comp in comps:
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        r.append(sum((g.adj_bits[v] & ~mask).bit_count() for v in comp))
+    r = [boundary_size(g, comp) for comp in comps]
     for ri in r:
         if not (k + 1 <= ri <= 2 * k + 1):
             raise ToolError(

@@ -22,13 +22,12 @@ from treecert import (
     FractionalPackingResult,
     Graph,
     build_graph,
-    components,
     generate,
     is_connected,
     min_cut_sides,
 )
-from treecert.graphs import boundary_size_mask
-from treecert.packing import _forest_faults, _union_edges
+from treecert.graphs import _union_edges, boundary_size_mask
+from treecert.packing import _forest_faults
 from treecert.spectra import matrix_from_rows
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
@@ -254,16 +253,38 @@ def connected_cut_scan(g: Graph, k: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+def components_reference(g: Graph) -> list[frozenset]:
+    """Oracle for `components`: a depth-first search from each unseen
+    vertex in order, so the sets come ordered by smallest member."""
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in _mask_vertices(g.adj_bits[u]):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
 def nu_f_bruteforce(g: Graph) -> FractionalPackingResult:
     """Oracle: min over all vertex partitions (p >= 2) of
     (crossing edges) / (p - 1) by complete restricted-growth enumeration.
     Ties prefer more blocks, then the lexicographically first assignment;
     disconnected graphs yield 0 with the component partition."""
-    comps = components(g)
+    comps = components_reference(g)
     if len(comps) > 1:
         return FractionalPackingResult(value=Fraction(0), partition=tuple(comps), p=len(comps))
     n = g.n
-    below = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
+    below = [[u for u in range(v) if g.adj_bits[v] >> u & 1] for v in range(n)]
     assign = [0] * n
     best: list = [None, 0, None]  # value, p, assignment copy
 

@@ -21,6 +21,7 @@ from treecert import (
     harness,
     run_experiment,
 )
+from treecert.certify import MAX_DIGITS
 from treecert.cli import main
 
 from treecert.graphs import boundary_size_mask
@@ -190,6 +191,31 @@ def test_a_or_b_past_the_float_range_is_refused_when_the_request_is_built(monkey
         assert err.value.code == "NON_FINITE", (tid, params)
     # tiny values round to a float and stay accepted
     assert CertificateRequest("cor5.2i", k=1, a="1e-400").a == Fraction(1, 10**400)
+    # a huge exponent is refused from the text, before 10^exponent is built
+    start = time.perf_counter()
+    with pytest.raises(ToolError) as err:
+        CertificateRequest("cor5.2i", k=1, a="1e10000000")
+    assert err.value.code == "NON_FINITE" and time.perf_counter() - start < 1
+    # a value whose exact numerator or denominator is too long to count with
+    for params in (
+        {"a": "1e-4400"}, {"a": "1e-1000000"}, {"a": "0." + "7" * 5000},
+        {"a": "1/" + "9" * 5000}, {"a": Fraction(1, 10**5000)}, {"a": 1, "b": "1e-1000000"},
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ToolError) as err:
+            CertificateRequest("cor5.2ii" if "b" in params else "cor5.2i", k=1, **params)
+        assert err.value.code == "PARAMETER_ERROR", params
+        assert time.perf_counter() - start < 1, params
+    # the bound is MAX_DIGITS digits, above and below the line alike
+    long_a, long_b = Fraction(1, 10**(MAX_DIGITS - 1)), Fraction(3, int("7" * MAX_DIGITS))
+    req = CertificateRequest("cor5.2ii", k=1, a=f"1e-{MAX_DIGITS - 1}", b=long_b)
+    assert (req.a, req.b) == (long_a, long_b)
+    json.dumps(certify(complete(8), req).to_json_dict())  # the report prints its threshold
+    for a in (f"1e-{MAX_DIGITS}", Fraction(1, 10**MAX_DIGITS),
+              Fraction(10**MAX_DIGITS + 1, 10**(MAX_DIGITS - 1))):
+        with pytest.raises(ToolError) as err:
+            CertificateRequest("cor5.2i", k=1, a=a)
+        assert err.value.code == "PARAMETER_ERROR", a
 
     # a config grid holding such a value stops before any trial
     def never(_):
@@ -203,6 +229,13 @@ def test_a_or_b_past_the_float_range_is_refused_when_the_request_is_built(monkey
     with pytest.raises(ToolError) as err:
         run_experiment(cfg)
     assert err.value.code == "NON_FINITE"
+    cfg = ExperimentConfig(
+        families=[{"family": "complete", "params": {"n": 8}}],
+        theorems=["cor5.2i"], k_grid=[1], a_grid=[1, "1e-1000000"],
+    )
+    with pytest.raises(ToolError) as err:
+        run_experiment(cfg)
+    assert err.value.code == "CONFIG_ERROR"
 
 
 def test_certify_disconnected():

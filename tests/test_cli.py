@@ -216,6 +216,27 @@ def test_experiment_refuses_an_unwritable_out_before_any_trial(capsys, tmp_path,
     code, out, err = run(capsys, experiment + [str(report)])
     assert code == 2 and out == "" and "error IO" in err
     assert report.read_text() == "old report\n"
+    # a fresh report beside an unwritable .csv is removed again
+    fresh = tmp_path / "fresh.jsonl"
+    (tmp_path / "fresh.jsonl.csv").mkdir()
+    code, out, err = run(capsys, experiment + [str(fresh)])
+    assert code == 2 and "error IO" in err and not fresh.exists()
+    # a run that fails after the probe removes only the files the probe made
+    cfg_path.write_text(json.dumps(
+        {"families": [{"family": "complete", "params": {"n": 6}}], "theorems": ["cor5.2i"],
+         "k_grid": [1], "a_grid": ["1e400"]}
+    ))
+    (tmp_path / "r.jsonl.csv").rmdir()
+    for name in ("new.jsonl", "r.jsonl"):
+        code, out, err = run(capsys, experiment + [str(tmp_path / name)])
+        assert code == 2 and out == "" and "NON_FINITE" in err
+    assert not (tmp_path / "new.jsonl").exists() and not (tmp_path / "new.jsonl.csv").exists()
+    assert report.read_text() == "old report\n" and not (tmp_path / "r.jsonl.csv").exists()
+    (tmp_path / "r.jsonl.csv").write_text("old table\n")
+    code, _, err = run(capsys, experiment + [str(report)])
+    assert code == 2 and "NON_FINITE" in err
+    assert report.read_text() == "old report\n"
+    assert (tmp_path / "r.jsonl.csv").read_text() == "old table\n"
 
 
 def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
@@ -260,10 +281,20 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
         (["gt", "--input", k4, "--t", "0"], "PARAMETER_ERROR"),
         *((["experiment", "--config", path], "CONFIG_ERROR") for path in shapeless),
     ]
+    # numerals whose exact value is too long to count with, refused from their text
+    k6e = graph_file("6 14\n" + "\n".join(
+        f"{u} {v}" for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)), "k6e.txt")
+    for a in ("1e-4400", "1e-1000000", "0." + "7" * 5000, "1/" + "9" * 5000):
+        cases.append((["certify", "--input", k6e, "--theorem", "cor5.2i", "--k", "1", "--a", a],
+                      "PARAMETER_ERROR"))
+    cases.append((["certify", "--input", k6e, "--theorem", "cor5.2i", "--k", "1",
+                   "--a", "1e10000000"], "NON_FINITE"))
     for argv, code_name in cases:
+        start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "", argv
         assert code_name in err, argv
+        assert time.perf_counter() - start < 1, argv
     # decisions are exact and the eigensolver has no convergence tolerance:
     # neither flag exists, so argparse exits 2
     for argv in (

@@ -9,6 +9,9 @@ from treecert import (
     ToolError,
     components,
     cut_size,
+    edge_connectivity,
+    is_connected,
+    nu_f_exact,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -16,7 +19,7 @@ from treecert import (
 )
 from treecert.graphs import build_graph, validate_partition
 
-from corpus import complete, cycle, path, random_graph, star
+from corpus import complete, components_reference, cycle, graphs, path, random_graph, star
 
 
 def test_parse_path():
@@ -127,6 +130,26 @@ def test_components_examples():
         frozenset({1}),
         frozenset({2}),
     ]
+    # the answers built on the component order stay as they were
+    g = build_graph(6, [(3, 4), (1, 2), (0, 1)])
+    assert edge_connectivity(g) == (0, frozenset({5}))
+    res = nu_f_exact(g)
+    assert res.partition == (frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5}))
+    assert (res.value, res.p) == (0, 3)
+
+
+@settings(max_examples=200)
+@given(graphs(n_min=1, n_max=12))
+def test_components_match_the_search_reference(g):
+    # the union-find route gives the reference's sets in the reference's
+    # order, and so do the disconnected answers built on it
+    want = components_reference(g)
+    assert components(g) == want
+    assert is_connected(g) == (len(want) == 1)
+    if len(want) > 1:
+        assert edge_connectivity(g) == (0, min(want, key=lambda s: (len(s), sorted(s))))
+        res = nu_f_exact(g)
+        assert (res.value, res.partition, res.p) == (0, tuple(want), len(want))
 
 
 def test_degree_sum_identity():

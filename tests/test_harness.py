@@ -151,7 +151,7 @@ def test_gadget_guarantees_reverified():
         assert validate_gt_witness(g, fx.witness) == []
         assert edge_connectivity(g)[0] == k + 1
         # the designated cut satisfies the decomposition hypotheses
-        from treecert.packing import _components_from_edges
+        from treecert.graphs import _components_from_edges
 
         comps = _components_from_edges(g.n, g.edges - fx.cut)
         assert len(comps) == 3

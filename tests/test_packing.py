@@ -21,10 +21,10 @@ from treecert import (
     tau_packing,
     verify_pkd_witness,
 )
+from treecert.graphs import _components_from_edges
 from treecert.packing import (
     DEFAULT_BUDGET,
     PkdSearchResult,
-    _components_from_edges,
     _is_forest,
     _is_spanning_tree,
     _connected_sets,
