@@ -492,7 +492,7 @@ def lemma41_decompose(
             "HYPOTHESIS_VIOLATED", f"min degree {delta} < 3k+3 = {3 * k + 3}"
         )
     remaining = g.edges - xset
-    comps = sorted(_components_from_edges(g.n, remaining), key=lambda s: min(s))
+    comps = _components_from_edges(g.n, remaining)
     if len(comps) != 3:
         raise ToolError(
             "WRONG_COMPONENT_COUNT", f"cut leaves {len(comps)} components, need 3"
@@ -537,9 +537,7 @@ def lemma41_decompose(
     side = next(c for c in _components_from_edges(len(pieces), tree[1:]) if tree[0][0] in c)
     x_prime = frozenset(e for e in x1 if (piece_of[e[0]] in side) != (piece_of[e[1]] in side))
 
-    final = sorted(
-        _components_from_edges(g.n, g.edges - xset - x_prime), key=lambda s: min(s)
-    )
+    final = _components_from_edges(g.n, g.edges - xset - x_prime)
     if len(final) != 4:
         raise ToolError("NO_SPLIT_FOUND", f"removal left {len(final)} components")
     if len(x_prime) > kappa:
