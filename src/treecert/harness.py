@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .certify import (
@@ -478,11 +477,20 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
             index += 1
     width = min(width, len(tasks), os.cpu_count() or 1)
     if width > 1:
-        with ProcessPoolExecutor(max_workers=width) as pool:
+        with _process_pool(width) as pool:
             rows = list(pool.map(_run_trial, tasks, chunksize=32))
     else:
         rows = [_run_trial(t) for t in tasks]
     return ExperimentReport(rows=rows, summary=_summarize(cfg, rows))
+
+
+def _process_pool(width: int):
+    """A pool of `width` worker processes. The import is here because it
+    costs a serial run (and `certify`, which imports this module) a
+    noticeable share of interpreter start-up."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=width)
 
 
 def _summarize(cfg: ExperimentConfig, rows: list) -> dict:

@@ -7,11 +7,17 @@ Three routes live here, one per quantity:
   set-partition enumeration it replaced is a test oracle). The packing
   number tau is its floor (Nash-Williams 1961, Tutte 1961),
 * constructive tree packing by matroid-union augmentation (polynomial,
-  produces the actual trees, the primal witness for tau),
+  produces the actual trees, the primal witness for tau). Each part is
+  filled greedily by union-find first, so augmenting searches run only
+  for the edges the fill rejects; the forests are parent-pointer trees,
+  so a path query climbs to the meeting point of its ends instead of
+  scanning the part,
 * the P(k, d) decision: whether k disjoint spanning trees can leave room
-  for one more sufficiently large forest. A (k+1)-forest matroid-union
-  state seeded with k packed trees refutes by its rank (REFUTED) or holds
-  a qualifying forest beside those trees (FOUND). What is left is
+  for one more sufficiently large forest. Counting refutes it outright
+  when the min degree or the edges left beside k trees fall short; else
+  a (k+1)-forest matroid-union state seeded with k packed trees refutes
+  by its rank (REFUTED) or holds a qualifying forest beside those trees
+  (FOUND). What is left is
   decided exactly over the connected (d+1)-vertex sets S that the big
   component of the forest can span (Edmonds 1965, matroid partition): one
   polynomial union per S, so the search is exponential only in
@@ -33,7 +39,7 @@ from functools import lru_cache
 from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_witness
 from .errors import ToolError
 from .graphs import Edge, Graph, VertexSet, boundary_size, components, edge, is_connected
-from .graphs import _components_from_edges, _mask_to_set, _union_edges
+from .graphs import _components_from_edges, _find, _mask_to_set, _union_edges
 
 DEFAULT_BUDGET = 100_000  # connected (d+1)-vertex sets tried by search_pkd_witness
 
@@ -149,68 +155,103 @@ def _attack(g: Graph, lam: Fraction) -> tuple[bool, list[int]]:
 
 
 class _Forests:
-    """Edge-disjoint forests with per-forest adjacency for path queries.
+    """Edge-disjoint forests on the vertices 0..n, each part a
+    parent-pointer forest: `up[i][x]` is x's parent in part i (-1 at a
+    root) and `via[i][x]` the edge to it. Linking re-roots one tree.
 
     Part i is the graphic matroid of the endpoint map `ends[i]`: e joins
     the vertices `ends[i](e)`, or is a loop there when that is None. A map
-    of None is the graph itself. Adjacency entries keep the original edge,
-    so path queries return graph edges in every part.
+    of None is the graph itself. Pointers run over the mapped ends but
+    `via` keeps the original edge, so path queries return graph edges in
+    every part.
+
+    `dead` holds the edges a failed augmenting search labeled: none of
+    them reaches a free slot until the forests change, so each is skipped
+    as an offer and never labeled again. Any insertion clears it.
     """
 
-    def __init__(self, k: int):
-        self.adj: list[dict[int, dict[int, Edge]]] = [{} for _ in range(k)]
-        self.ends: list = [None] * k
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.up: list[list[int]] = []
+        self.via: list[list[Edge | None]] = []
+        self.size: list[int] = []
+        self.ends: list = []
         self.owner: dict[Edge, int] = {}
+        self.dead: set[Edge] = set()
+        for _ in range(k):
+            self.add_part(None)
 
     def add_part(self, ends) -> None:
-        self.adj.append({})
+        self.up.append([-1] * (self.n + 1))  # vertex n: S contracted in _set_union
+        self.via.append([None] * (self.n + 1))
+        self.size.append(0)
         self.ends.append(ends)
+        self.dead.clear()
 
     def add(self, i: int, e: Edge) -> None:
+        """Put e in part i; its mapped ends must lie in different trees.
+        The end nearer its root is re-rooted and hung from the other."""
         u, v = e if self.ends[i] is None else self.ends[i](e)
-        self.adj[i].setdefault(u, {})[v] = e
-        self.adj[i].setdefault(v, {})[u] = e
+        up, via = self.up[i], self.via[i]
+        a, b = u, v
+        while up[a] >= 0 and up[b] >= 0:
+            a, b = up[a], up[b]
+        if up[a] >= 0:
+            u, v, a, b = v, u, b, a
+        while up[b] >= 0:
+            b = up[b]
+        if a == b:  # a pointer cycle would hang every later query
+            raise ToolError("INTERNAL", f"edge {e} would close a cycle in forest {i}")
+        x, prev, prev_edge = u, v, e
+        while x >= 0:
+            nxt, nxt_edge = up[x], via[x]
+            up[x], via[x] = prev, prev_edge
+            x, prev, prev_edge = nxt, x, nxt_edge
         self.owner[e] = i
+        self.size[i] += 1
+        self.dead.clear()
 
     def remove(self, i: int, e: Edge) -> None:
         u, v = e if self.ends[i] is None else self.ends[i](e)
-        del self.adj[i][u][v]
-        del self.adj[i][v][u]
+        up, via = self.up[i], self.via[i]
+        child = u if up[u] == v else v
+        up[child], via[child] = -1, None
+        del self.owner[e]
+        self.size[i] -= 1
 
     def path_edges(self, i: int, u: int, v: int) -> list[Edge] | None:
         """Edges of the part-i path from u to v; None if no path exists
-        (so an edge joining u and v can join part i without a cycle)."""
-        adj = self.adj[i]
-        if u not in adj or v not in adj:
-            return None
-        parent: dict[int, int | None] = {u: None}
-        dq = deque([u])
-        while dq:
-            x = dq.popleft()
-            if x == v:
-                break
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    dq.append(y)
-        if v not in parent:
-            return None
-        path = []
-        y = v
-        while (x := parent[y]) is not None:
-            path.append(adj[x][y])
-            y = x
-        return path
+        (so an edge joining u and v can join part i without a cycle).
+        The ends climb in turn until one steps onto a vertex the other has
+        passed, their meeting point; two roots mean different trees."""
+        up, via = self.up[i], self.via[i]
+        chain_u, chain_v = [u], [v]
+        at_u, at_v = {u: 0}, {v: 0}  # vertex -> its place on that chain
+        a, b = u, v
+        while a >= 0 or b >= 0:
+            if a >= 0 and (a := up[a]) >= 0:
+                if a in at_v:
+                    return [via[x] for x in chain_u] + [via[x] for x in chain_v[: at_v[a]]]
+                at_u[a] = len(chain_u)
+                chain_u.append(a)
+            if b >= 0 and (b := up[b]) >= 0:
+                if b in at_u:
+                    return [via[x] for x in chain_v] + [via[x] for x in chain_u[: at_u[b]]]
+                at_v[b] = len(chain_v)
+                chain_v.append(b)
+        return None
 
     def try_insert(self, e0: Edge) -> bool:
         """Shortest augmenting exchange: breadth-first labeling over edges,
         then the chain of moves that frees a slot for e0."""
+        dead = self.dead
         pred: dict[Edge, tuple[Edge, int] | None] = {e0: None}
         dq = deque([e0])
         while dq:
             f = dq.popleft()
+            own = self.owner.get(f)
             for i, ends in enumerate(self.ends):
-                if self.owner.get(f) == i:
+                if i == own:
                     continue
                 uv = f if ends is None else ends(f)
                 if uv is None:
@@ -229,30 +270,57 @@ class _Forests:
                         cur, dest = info
                     return True
                 for h in path:
-                    if h not in pred:
+                    if h not in pred and h not in dead:
                         pred[h] = (f, i)
                         dq.append(h)
+        dead.update(pred)
         return False
 
-    def insert_all(self, edges, cap: int) -> int:
-        """Offer each unplaced edge once, in order, stopping after `cap`
-        insertions; returns how many went in. An edge the union rejects
-        stays rejected as the forests grow, so one pass reaches the union
-        rank."""
+    def fill(self, i: int, edges, cap: int) -> int:
+        """Greedy: put into part i each unplaced edge whose mapped ends lie
+        in different trees of it, by one union-find seeded with its trees,
+        stopping after `cap`; returns how many went in."""
+        up, ends = self.up[i], self.ends[i]
+        parent, _ = _union_edges(len(up), [(x, y) for x, y in enumerate(up) if y >= 0])
         placed = 0
         for e in edges:
             if placed == cap:
                 break
-            if e not in self.owner and self.try_insert(e):
+            if e in self.owner:
+                continue
+            uv = e if ends is None else ends(e)
+            if uv is None:
+                continue
+            ru, rv = _find(parent, uv[0]), _find(parent, uv[1])
+            if ru != rv:
+                parent[ru] = rv
+                self.add(i, e)
                 placed += 1
         return placed
 
-    def edge_sets(self, n: int, trees: int) -> list[frozenset[Edge]]:
+    def insert_all(self, edges, cap: int) -> int:
+        """Fill every part that is not a spanning tree, then offer each
+        edge still unplaced once, in order, stopping after `cap`
+        insertions; returns how many went in. An edge the union rejects
+        stays rejected as the forests grow, so one pass reaches the union
+        rank."""
+        placed = 0
+        for i, size in enumerate(self.size):
+            if size < self.n - 1 and placed < cap:
+                placed += self.fill(i, edges, min(cap - placed, self.n - 1 - size))
+        for e in edges:
+            if placed == cap:
+                break
+            if e not in self.owner and e not in self.dead and self.try_insert(e):
+                placed += 1
+        return placed
+
+    def edge_sets(self, trees: int) -> list[frozenset[Edge]]:
         """Each part's edges; the first `trees` parts must be spanning trees."""
-        out: list[set[Edge]] = [set() for _ in self.adj]
+        out: list[set[Edge]] = [set() for _ in self.up]
         for e, i in self.owner.items():
             out[i].add(e)
-        if not all(_is_spanning_tree(t, n) for t in out[:trees]):
+        if not all(_is_spanning_tree(t, self.n) for t in out[:trees]):
             raise ToolError("INTERNAL", "augmentation produced a non-tree")
         return [frozenset(s) for s in out]
 
@@ -263,7 +331,7 @@ def _pack(g: Graph, k: int) -> _Forests | None:
     target = k * (g.n - 1)
     if g.m < target:
         return None
-    forests = _Forests(k)
+    forests = _Forests(g.n, k)
     if forests.insert_all(g.sorted_edges(), target) < target:
         return None
     return forests
@@ -277,7 +345,7 @@ def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "tree packing needs a connected graph")
     forests = _pack(g, k)
-    return None if forests is None else tuple(forests.edge_sets(g.n, k))
+    return None if forests is None else tuple(forests.edge_sets(k))
 
 
 def tau_packing(g: Graph) -> int:
@@ -364,21 +432,25 @@ def _set_union(g: Graph, trees, s: VertexSet) -> list[frozenset[Edge]] | None:
     that fits beside some k spanning trees.
     """
     n, d = g.n, len(s) - 1
-    forests = _Forests(len(trees))
+    edges = g.sorted_edges()
+    forests = _Forests(n, len(trees))
     for i, t in enumerate(trees):
         for e in t:
             forests.add(i, e)
     forests.add_part(lambda e: e if e[0] in s and e[1] in s else None)
-    if forests.insert_all(g.sorted_edges(), d) < d:
+    if forests.insert_all(edges, d) < d:
         return None
 
     def contracted(e: Edge) -> Edge:
         u, v = e
         return e if u in s and v in s else (n if u in s else u, n if v in s else v)
 
+    # B's edges keep their ends under the new map, so its pointers stay;
+    # the dead edges were dead for the old map only
     forests.ends[-1] = contracted
-    forests.insert_all(g.sorted_edges(), n - 1 - d)
-    return forests.edge_sets(n, len(trees))
+    forests.dead.clear()
+    forests.insert_all(edges, n - 1 - d)
+    return forests.edge_sets(len(trees))
 
 
 def _connected_sets(g: Graph, size: int):
@@ -406,9 +478,11 @@ def search_pkd_witness(
     """Decide whether k disjoint spanning trees plus a qualifying extra
     forest exist.
 
-    Stage 1: k packed trees seed a (k+1)-part union whose last part is
-    graphic(g); offering every edge gives the largest extra forest size f
-    over all k-packings, and d*f <= (d-1)(n-1) settles REFUTED. Stage 2:
+    Counting first: min degree below k, or too few edges beside k trees
+    for condition B, settles REFUTED before any union is built. Stage 1:
+    k packed trees seed a (k+1)-part union whose last part is graphic(g);
+    offering every edge gives the largest extra forest size f over all
+    k-packings, and d*f <= (d-1)(n-1) settles REFUTED. Stage 2:
     the union is maximal, so its extra forest is a maximal forest of the
     edges outside its k trees; if it also meets condition C it is the
     witness, FOUND. Both report nodes = 0.
@@ -432,12 +506,12 @@ def search_pkd_witness(
         raise ToolError("DISCONNECTED", "the search needs a connected graph")
 
     n = g.n
-    forests = _pack(g, k)
-    if forests is None:
+    if _counting_refutes(g, k, d):
         return PkdSearchResult("REFUTED", None, 0)
-    forests.add_part(None)
-    forests.insert_all(g.sorted_edges(), n - 1)
-    *trees, forest = forests.edge_sets(n, k)
+    stage_one = _stage_one(g, k)
+    if stage_one is None:
+        return PkdSearchResult("REFUTED", None, 0)
+    *trees, forest = stage_one
     faults = _forest_faults(n, forest, d)
     if "CONDITION_B" in faults:
         return PkdSearchResult("REFUTED", None, 0)
@@ -453,6 +527,25 @@ def search_pkd_witness(
             *trees, forest = found
             return PkdSearchResult("FOUND", _build_witness(g, trees, forest, k, d), tried)
     return PkdSearchResult("REFUTED", None, tried)
+
+
+def _counting_refutes(g: Graph, k: int, d: int) -> bool:
+    """Whether counting alone refutes P(k, d): each spanning tree meets
+    every vertex, so k of them need min degree >= k; and the extra forest
+    has at most m - k(n-1) edges, so condition B needs
+    d(m - k(n-1)) > (d-1)(n-1)."""
+    return g.min_degree < k or d * (g.m - k * (g.n - 1)) <= (d - 1) * (g.n - 1)
+
+
+def _stage_one(g: Graph, k: int) -> list[frozenset[Edge]] | None:
+    """Stage 1 of the search: k packed trees, then the largest extra forest
+    beside them, or None when g has no k disjoint spanning trees."""
+    forests = _pack(g, k)
+    if forests is None:
+        return None
+    forests.add_part(None)
+    forests.insert_all(g.sorted_edges(), g.n - 1)
+    return forests.edge_sets(k)
 
 
 def _build_witness(g: Graph, trees, forest, k: int, d: int) -> PackingWitness:

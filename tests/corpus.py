@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -26,7 +27,7 @@ from treecert import (
     is_connected,
     min_cut_sides,
 )
-from treecert.graphs import _union_edges, boundary_size_mask
+from treecert.graphs import Edge, _union_edges, boundary_size_mask
 from treecert.packing import _forest_faults
 from treecert.spectra import matrix_from_rows
 
@@ -459,6 +460,98 @@ def enumerate_packings(g: Graph, k: int, d: int, budget=math.inf) -> tuple[str, 
     except _Verdict as verdict:
         return verdict.status, nodes
     return "REFUTED", nodes
+
+
+def path_edges_reference(adj: dict[int, dict[int, Edge]], u: int, v: int) -> list[Edge] | None:
+    """Reference path query: the edges of the path from u to v in the
+    forest with adjacency `adj` (vertex -> neighbour -> edge), found by a
+    breadth-first search over the whole tree; None if there is none."""
+    if u not in adj or v not in adj:
+        return None
+    parent: dict[int, int | None] = {u: None}
+    dq = deque([u])
+    while dq:
+        x = dq.popleft()
+        if x == v:
+            break
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                dq.append(y)
+    if v not in parent:
+        return None
+    path = []
+    y = v
+    while (x := parent[y]) is not None:
+        path.append(adj[x][y])
+        y = x
+    return path
+
+
+class BfsForests:
+    """Oracle for `packing._Forests`: the matroid union of graphic parts
+    (with the same endpoint maps) by one breadth-first augmenting search
+    per offered edge, each path query a BFS over the part. No greedy fill,
+    no dead closures, no parent pointers."""
+
+    def __init__(self, k: int):
+        self.adj: list[dict[int, dict[int, Edge]]] = [{} for _ in range(k)]
+        self.ends: list = [None] * k
+        self.owner: dict[Edge, int] = {}
+
+    def add_part(self, ends) -> None:
+        self.adj.append({})
+        self.ends.append(ends)
+
+    def add(self, i: int, e: Edge) -> None:
+        u, v = e if self.ends[i] is None else self.ends[i](e)
+        self.adj[i].setdefault(u, {})[v] = e
+        self.adj[i].setdefault(v, {})[u] = e
+        self.owner[e] = i
+
+    def remove(self, i: int, e: Edge) -> None:
+        u, v = e if self.ends[i] is None else self.ends[i](e)
+        del self.adj[i][u][v]
+        del self.adj[i][v][u]
+
+    def try_insert(self, e0: Edge) -> bool:
+        pred: dict[Edge, tuple[Edge, int] | None] = {e0: None}
+        dq = deque([e0])
+        while dq:
+            f = dq.popleft()
+            for i, ends in enumerate(self.ends):
+                if self.owner.get(f) == i:
+                    continue
+                uv = f if ends is None else ends(f)
+                if uv is None:
+                    continue
+                path = path_edges_reference(self.adj[i], *uv)
+                if path is None:
+                    cur, dest = f, i
+                    while True:
+                        src = self.owner.get(cur)
+                        if src is not None:
+                            self.remove(src, cur)
+                        self.add(dest, cur)
+                        info = pred[cur]
+                        if info is None:
+                            break
+                        cur, dest = info
+                    return True
+                for h in path:
+                    if h not in pred:
+                        pred[h] = (f, i)
+                        dq.append(h)
+        return False
+
+    def insert_all(self, edges, cap: int) -> int:
+        placed = 0
+        for e in edges:
+            if placed == cap:
+                break
+            if e not in self.owner and self.try_insert(e):
+                placed += 1
+        return placed
 
 
 def trace(m) -> float:

@@ -504,7 +504,7 @@ def test_jobs_width_is_clamped(monkeypatch):
         k_grid=[1],
     )
     serial = run_experiment(cfg, jobs=1).to_jsonl()
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_process_pool", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     assert run_experiment(cfg, jobs=64).to_jsonl() == serial  # clamped to 3 tasks
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)

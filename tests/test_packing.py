@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis.strategies import integers
 
 from treecert import (
     FamilySpec,
@@ -21,17 +22,21 @@ from treecert import (
     tau_packing,
     verify_pkd_witness,
 )
-from treecert.graphs import _components_from_edges
+from treecert.graphs import _components_from_edges, edge
 from treecert.packing import (
     DEFAULT_BUDGET,
     PkdSearchResult,
     _is_forest,
     _is_spanning_tree,
     _connected_sets,
+    _Forests,
+    _counting_refutes,
     _set_union,
+    _stage_one,
 )
 
 from corpus import (
+    BfsForests,
     all_connected_graphs,
     clique_chains,
     complete,
@@ -40,6 +45,7 @@ from corpus import (
     graphs,
     nu_f_bruteforce,
     path,
+    path_edges_reference,
     random_connected_graph,
     remainder_feasible,
     star,
@@ -375,21 +381,11 @@ def test_seeded_decision_matches_enumeration():
     assert fallbacks["FOUND"] >= 2 and fallbacks["REFUTED"] >= 1
 
 
-def test_stage_one_forest_has_the_components_of_the_edges_outside_the_trees(monkeypatch):
+def test_stage_one_forest_has_the_components_of_the_edges_outside_the_trees():
     """Stage 2 decides on the stage-1 extra forest. The union is maximal,
     so that forest is a maximal forest of E - trees: no edge outside the
-    trees joins two of its components."""
-    from treecert import packing
-
-    first = []
-    edge_sets = packing._Forests.edge_sets
-
-    def spy(self, n, trees):
-        out = edge_sets(self, n, trees)
-        first.append(out)
-        return out
-
-    monkeypatch.setattr(packing._Forests, "edge_sets", spy)
+    trees joins two of its components. Stage 1 is called directly, since
+    the search returns on counting refutations before it."""
     rng = random.Random(18)
     sample = [
         generate(FamilySpec("gnp", {"n": n, "p": p}, seed=rng.getrandbits(32)))
@@ -407,11 +403,10 @@ def test_stage_one_forest_has_the_components_of_the_edges_outside_the_trees(monk
         if not is_connected(g):
             continue
         for k in (1, 2, 3):
-            first.clear()
-            search_pkd_witness(g, k, g.min_degree)
-            if not first:  # fewer than k spanning trees
+            stage_one = _stage_one(g, k)
+            if stage_one is None:  # fewer than k spanning trees
                 continue
-            *trees, forest = first[0]
+            *trees, forest = stage_one
             rest = g.edges.difference(*trees)
             assert forest <= rest
             assert sorted(map(sorted, _components_from_edges(g.n, forest))) == sorted(
@@ -419,6 +414,82 @@ def test_stage_one_forest_has_the_components_of_the_edges_outside_the_trees(monk
             ), (sorted(g.edges), k)
             cases += 1
     assert cases >= 150
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(n_min=2, n_max=8, connected=True))
+def test_search_and_counting_refutations_match_enumeration(g):
+    """On connected graphs with n <= 8, at k = 1-3 and every d from 1 to
+    n, the search status equals the k-packing enumeration, and every
+    counting refutation is one the enumeration makes. The edge bound past
+    n = 5 keeps the exhaustive oracle quick."""
+    assume(g.n <= 5 or g.m <= 2 * g.n - 1)
+    for k in (1, 2, 3):
+        for d in range(1, g.n + 1):
+            res = search_pkd_witness(g, k, d)
+            oracle, _ = enumerate_packings(g, k, d)
+            assert res.status == oracle, (sorted(g.edges), k, d)
+            if _counting_refutes(g, k, d):
+                assert oracle == "REFUTED"
+                assert res == PkdSearchResult("REFUTED", None, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(n_min=2, n_max=9), integers(1, 3), integers(0, 2**9 - 1), integers(0, 2))
+def test_union_rank_matches_the_bfs_union(g, k, s_bits, last):
+    """k graphic parts and one more part, graphic(g), graphic(G[S]) or
+    graphic(G[S]) + graphic(G/S) with S contracted to vertex n: the union
+    reaches the rank of the BFS-per-edge union, and every part is a forest
+    on its mapped ends."""
+    s = frozenset(v for v in range(g.n) if s_bits >> v & 1)
+    n = g.n
+
+    def inside(e):
+        return e if e[0] in s and e[1] in s else None
+
+    def contracted(e):
+        u, v = e
+        return e if u in s and v in s else (n if u in s else u, n if v in s else v)
+
+    fast, slow = _Forests(n, k), BfsForests(k)
+    for forests in (fast, slow):
+        forests.add_part([None, inside, contracted][last])
+    edges = g.sorted_edges()
+    assert fast.insert_all(edges, g.m) == slow.insert_all(edges, g.m)
+    for part, ends in zip(fast.edge_sets(0), fast.ends):
+        mapped = [e if ends is None else ends(e) for e in part]
+        assert None not in mapped and _is_forest(mapped, n + 1)
+
+
+def test_path_queries_match_the_bfs_reference():
+    """Parent-pointer path queries find the path the BFS reference finds
+    (or none with it) over random sequences of links and cuts in a part."""
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        forests = _Forests(n, 1)
+        adj: dict = {}
+        for _ in range(150):
+            u, v = rng.sample(range(n), 2)
+            path = forests.path_edges(0, u, v)
+            ref = path_edges_reference(adj, u, v)
+            assert (path is None) == (ref is None)
+            if path is None:
+                e = edge(u, v)
+                forests.add(0, e)
+                adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = e
+            else:
+                assert sorted(path) == sorted(ref)
+                if rng.random() < 0.4:
+                    a, b = cut = rng.choice(path)
+                    forests.remove(0, cut)
+                    del adj[a][b], adj[b][a]
+    closed = _Forests(3, 1)
+    closed.add(0, (0, 1))
+    closed.add(0, (1, 2))
+    with pytest.raises(ToolError) as err:  # a cycle is refused, not linked
+        closed.add(0, (0, 2))
+    assert err.value.code == "INTERNAL"
 
 
 def _same_connected_sets(g):
