@@ -1,6 +1,6 @@
 """Evaluation of every sufficient spectral condition for the packing
-property, with exact-rational thresholds and optional ground-truth
-cross-verification.
+property, with exact-rational thresholds and a ground-truth
+cross-check.
 
 Each eigenvalue condition is one row (t, a, b): the class G_t it assumes
 (t = 0: none) and the matrix a*D + b*A it reads, each of a and b a fixed
@@ -36,12 +36,9 @@ from fractions import Fraction
 
 from .connectivity import edge_connectivity, gt_membership
 from .errors import ToolError
-from .graphs import Graph, is_connected
+from .graphs import Graph, check_ints, is_connected, is_int
 from .packing import DEFAULT_BUDGET, nu_f_exact, search_pkd_witness
 from .spectra import eigenvalue_clears, spectral_profile
-
-CROSS_DEFAULT_ON_MAX_N = 10
-CROSS_VERIFY_CAP = 12
 
 Q = Fraction
 
@@ -141,10 +138,6 @@ def _threshold(t: int, k: int, delta: int, Delta: int, a: Fraction, b: Fraction)
     return a * degree + b * gap
 
 
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # Digits allowed in the numerator and in the denominator of a or b. The
 # inertia counts run on integers that long, and a report prints thresholds
 # built from them (Python prints no int past 4300 digits).
@@ -209,7 +202,7 @@ class CertificateRequest:
     # float read as its decimal, and stored as the Fraction `rational` makes.
     a: Fraction | None = None
     b: Fraction | None = None
-    cross_verify: bool | None = None  # None: on for n <= 10
+    cross_verify: bool = True  # search P(k, d) as ground truth; False skips it
 
     def __post_init__(self):
         tid, k, d, cross = self.theorem_id, self.k, self.d, self.cross_verify
@@ -217,8 +210,8 @@ class CertificateRequest:
             raise ToolError("PARAMETER_ERROR", f"unknown theorem id {tid!r}")
         if not (is_int(k) and (d is None or is_int(d))):
             raise ToolError("PARAMETER_ERROR", f"k and d must be integers, got {k!r} and {d!r}")
-        if type(cross) not in (bool, type(None)):
-            raise ToolError("PARAMETER_ERROR", f"cross_verify must be a bool or None: {cross!r}")
+        if type(cross) is not bool:
+            raise ToolError("PARAMETER_ERROR", f"cross_verify must be True or False: {cross!r}")
         a = None if self.a is None else rational(self.a, "a")
         b = None if self.b is None else rational(self.b, "b")
         problem = param_error(tid, k, d, a, b)
@@ -278,19 +271,13 @@ def certify(
 
     Returns a report with the hypothesis checks, the measured quantity,
     the exact threshold and one of HYPOTHESIS_FAILED / CONDITION_FAILS /
-    CERTIFIED. The ground-truth cross-check searches P(k, d) at the d of
-    the conclusion: by default on graphs of up to CROSS_DEFAULT_ON_MAX_N
-    vertices; an explicit request above CROSS_VERIFY_CAP is TOO_LARGE
-    before any other work. `searches` is a memo the caller owns, keyed on
-    (graph, k, d, budget), so the conditions of one graph share a search.
+    CERTIFIED. Unless `req.cross_verify` is False, the ground-truth
+    cross-check searches P(k, d) at the d of the conclusion, at every n.
+    `searches` is a memo the caller owns, keyed on (graph, k, d, budget),
+    so the conditions of one graph share a search.
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
-    cross_on = req.cross_verify
-    if cross_on is None:
-        cross_on = g.n <= CROSS_DEFAULT_ON_MAX_N
-    elif cross_on and g.n > CROSS_VERIFY_CAP:
-        raise ToolError("TOO_LARGE", f"cross-verification is capped at n={CROSS_VERIFY_CAP}")
     checks = {"parameter_constraints": True, "min_degree": True, "class_membership": True}
     if req.theorem_id == "thm1.1":
         d = req.d
@@ -317,7 +304,7 @@ def certify(
     outcome = "HYPOTHESIS_FAILED" if passes is None else "CERTIFIED" if passes else "CONDITION_FAILS"
     conclusion = f"P({req.k},{d}) holds" if passes else None
     cross = None
-    if cross_on:
+    if req.cross_verify:
         memo = {} if searches is None else searches
         key = (g, req.k, d, budget)
         if key not in memo:
@@ -378,6 +365,7 @@ def check_cut_lower_bound(g: Graph, k: int, variant: str) -> CutLowerBoundCheck:
     t = {"lemma2.4": 1, "lemma2.5": 2}.get(variant)  # the class G_t assumed
     if t is None:
         raise ToolError("PARAMETER_ERROR", f"unknown variant {variant!r}")
+    check_ints(k=k)
     if k < 1:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 1, got {k}")
     if not is_connected(g):

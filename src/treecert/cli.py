@@ -128,14 +128,7 @@ def _cmd_verify_pkd(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _load_graph(args.input)
-    req = CertificateRequest(
-        theorem_id=args.theorem,
-        k=args.k,
-        d=args.d,
-        a=args.a,
-        b=args.b,
-        cross_verify=True if args.cross_verify else None,
-    )
+    req = CertificateRequest(theorem_id=args.theorem, k=args.k, d=args.d, a=args.a, b=args.b)
     report = certify(g, req)
     _emit(report.to_json_dict())
     return 0
@@ -213,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
-    p.add_argument("--cross-verify", action="store_true")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("experiment", help="run a seeded experiment config")

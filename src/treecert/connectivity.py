@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ToolError
-from .graphs import Graph, VertexSet, _mask_to_set, boundary_size, components
+from .graphs import Graph, VertexSet, _mask_to_set, boundary_size, check_ints, components
 from .graphs import is_connected
 
 # Vertex entries over all sides `min_cut_sides` lists (n per cut: its side
@@ -282,6 +282,7 @@ def gt_membership(g: Graph, t: int) -> GtWitness | None:
     the same sides: the first side disjoint from the earlier picks is
     minimal, since a smaller side inside it would come earlier.
     """
+    check_ints(t=t)
     if t < 1:
         raise ToolError("PARAMETER_ERROR", f"t must be >= 1, got {t}")
     if not is_connected(g):

@@ -23,6 +23,18 @@ VertexSet = frozenset[int]
 MAX_VERTICES = 1000
 
 
+def is_int(value) -> bool:
+    """The rule for every integer parameter: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_ints(**values) -> None:
+    """PARAMETER_ERROR unless every value passes `is_int`."""
+    for name, value in values.items():
+        if not is_int(value):
+            raise ToolError("PARAMETER_ERROR", f"{name} must be an integer, got {value!r}")
+
+
 def edge(u: int, v: int) -> Edge:
     """Normalized undirected edge: (min, max)."""
     return (u, v) if u < v else (v, u)

@@ -2,9 +2,9 @@
 serialization.
 
 The runner is the counterexample hunter: it sweeps families of graphs,
-evaluates the selected certification conditions, cross-verifies against
-the packing ground truth where feasible, and counts any CERTIFIED row
-whose ground truth is REFUTED. Per-trial randomness is counter-based
+evaluates the selected certification conditions, cross-checks each
+against the packing ground truth, and counts any CERTIFIED row whose
+ground truth is REFUTED. Per-trial randomness is counter-based
 (per-trial seed = spec seed xor trial index), so reports are byte-stable
 at any parallelism width.
 """
@@ -17,17 +17,11 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 
-from .certify import (
-    THEOREM_IDS,
-    CertificateRequest,
-    certify,
-    is_int,
-    param_error,
-    rational,
-)
+from .certify import THEOREM_IDS, CertificateRequest, certify, param_error, rational
 from .connectivity import GtWitness
 from .errors import ToolError
-from .graphs import MAX_VERTICES, Edge, Graph, build_graph, is_connected
+from .graphs import MAX_VERTICES, Edge, Graph, build_graph, is_connected, is_int
+from .packing import DEFAULT_BUDGET
 from .packing import search_pkd_witness  # unused here: perfbench/spans.py wraps this name
 from .quotient import check_interlacing, quotient_laplacian
 from .spectra import spectral_profile
@@ -78,6 +72,12 @@ def _order(n: int) -> int:
     return n
 
 
+def _param_ok(key: str, value) -> bool:
+    """The rule for a family parameter value: an int that is not a bool,
+    or for gnp's p also a float."""
+    return is_int(value) or (key == "p" and isinstance(value, float))
+
+
 # The parameters each family takes; any other key is a SPEC_ERROR.
 _FAMILY_KEYS = {
     "complete": {"n"}, "cycle": {"n"}, "path": {"n"}, "gnp": {"n", "p"},
@@ -94,6 +94,10 @@ def generate(spec: FamilySpec) -> Graph:
     extra = sorted(set(p) - _FAMILY_KEYS[fam])
     if extra:
         raise ToolError("SPEC_ERROR", f"{fam} does not take parameter {extra[0]!r}")
+    for key, value in p.items():
+        if not _param_ok(key, value):
+            kind = "a number" if key == "p" else "an integer"
+            raise ToolError("SPEC_ERROR", f"{fam} parameter {key!r} must be {kind}: {value!r}")
     if fam == "complete":
         n = _order(_need(p, "n"))
         if n < 1:
@@ -217,8 +221,8 @@ def lemma41_gadget_fixture(k: int) -> Lemma41Fixture:
     """Five cliques of order 3k+4 (A, B, C, D, E): a triangle of links
     between A, B, C sized to hit the boundary bounds, plus pendant links
     C-D and A-E of exactly the connectivity k+1 to supply the witness."""
-    if k < 2:
-        raise ToolError("SPEC_ERROR", "the gadget needs k >= 2")
+    if not is_int(k) or k < 2:
+        raise ToolError("SPEC_ERROR", f"the gadget needs an integer k >= 2, got {k!r}")
     q = 3 * k + 4
     n = _order(5 * q)
     a_links = (k + 2) // 2
@@ -256,7 +260,7 @@ class ExperimentConfig:
     d_grid: list = field(default_factory=list)
     a_grid: list = field(default_factory=list)
     b_grid: list = field(default_factory=list)
-    packing_budget: int = 20000
+    packing_budget: int = DEFAULT_BUDGET
     jobs: int = 1
 
     @classmethod
@@ -295,10 +299,7 @@ def _validate_config(cfg: ExperimentConfig) -> list:
         if entry.get("trials", 1) < 0:
             raise ToolError("CONFIG_ERROR", "trials must be >= 0")
         params = entry.get("params", {})
-        if not isinstance(params, dict) or not all(
-            is_int(v) or (key == "p" and isinstance(v, float))
-            for key, v in params.items()
-        ):
+        if not isinstance(params, dict) or not all(_param_ok(*item) for item in params.items()):
             raise ToolError(
                 "CONFIG_ERROR", f"family params must be integers (gnp's p a number): {entry}"
             )
@@ -415,9 +416,8 @@ def _run_trial(args) -> dict:
             digest["threshold_decimal"] = (
                 None if rep.threshold is None else float(rep.threshold)
             )
-            if rep.cross_check is not None:
-                digest["cross_status"] = rep.cross_check.status
-                digest["consistent"] = rep.cross_check.consistent
+            digest["cross_status"] = rep.cross_check.status
+            digest["consistent"] = rep.cross_check.consistent
         except ToolError as err:
             digest["error"] = err.code
         certs.append(digest)
@@ -517,10 +517,8 @@ def _summarize(cfg: ExperimentConfig, rows: list) -> dict:
             agg["evaluated"] += 1
             outcome = cert["outcome"]
             agg[outcome.lower()] += 1
-            status = cert.get("cross_status")
-            if status is not None:
-                agg["cross_" + status.lower()] += 1
-            if cert.get("consistent") is False:
+            agg["cross_" + cert["cross_status"].lower()] += 1
+            if not cert["consistent"]:
                 agg["counterexamples"] += 1
                 counterexamples += 1
     digest_source = {k: v for k, v in asdict(cfg).items() if k != "jobs"}

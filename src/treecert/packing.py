@@ -38,7 +38,8 @@ from functools import lru_cache
 
 from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_witness
 from .errors import ToolError
-from .graphs import Edge, Graph, VertexSet, boundary_size, components, edge, is_connected
+from .graphs import Edge, Graph, VertexSet, boundary_size, check_ints, components, edge
+from .graphs import is_connected
 from .graphs import _components_from_edges, _find, _mask_to_set, _union_edges
 
 DEFAULT_BUDGET = 100_000  # connected (d+1)-vertex sets tried by search_pkd_witness
@@ -340,6 +341,7 @@ def _pack(g: Graph, k: int) -> _Forests | None:
 def pack_spanning_trees(g: Graph, k: int) -> tuple[frozenset[Edge], ...] | None:
     """k pairwise edge-disjoint spanning trees of g, or None exactly when
     fewer than k exist. Matroid-union augmentation over the k forests."""
+    check_ints(k=k)
     if k < 1:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 1, got {k}")
     if not is_connected(g):
@@ -393,6 +395,7 @@ def verify_pkd_witness(g: Graph, w: PackingWitness) -> list[str]:
     the extra edge set is a forest, its size clears the exact rational
     threshold, and a non-spanning forest has a component with >= d edges.
     """
+    check_ints(k=w.k, d=w.d)
     if w.k < 1 or w.d < 1:
         raise ToolError("PARAMETER_ERROR", "k and d must be >= 1")
     for es in list(w.trees) + [w.forest]:
@@ -498,6 +501,7 @@ def search_pkd_witness(
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
+    check_ints(k=k, d=d, budget=budget)
     if k < 1 or d < 1:
         raise ToolError("PARAMETER_ERROR", "k and d must be >= 1")
     if budget < 1:
@@ -573,6 +577,7 @@ def lemma41_decompose(
     connected sides via a spanning tree of the contracted piece graph,
     which keeps every removed edge inside the candidate cut.
     """
+    check_ints(k=k)
     if k < 2:
         raise ToolError("PARAMETER_ERROR", f"k must be >= 2, got {k}")
     xset = frozenset(edge(*e) for e in x)

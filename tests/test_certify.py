@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from treecert import (
     CertificateRequest,
+    CrossCheck,
     ExperimentConfig,
     FamilySpec,
     ToolError,
@@ -137,27 +138,23 @@ def test_eigenvalue_at_its_threshold_fails(monkeypatch):
 
 
 def test_cross_verify_defaults(monkeypatch):
-    This = certify(complete(7), CertificateRequest("thm5.1", k=2))
-    assert This.cross_check is not None  # n <= 10: on by default
-    big = certify(complete(11), CertificateRequest("thm5.1", k=2))
-    assert big.cross_check is None  # n > 10: off by default
-    forced = certify(
-        complete(11), CertificateRequest("thm5.1", k=2, cross_verify=True)
-    )
-    assert forced.cross_check is not None and forced.cross_check.consistent
-    # above the cap an explicit request fails before any other work; the
-    # default stays off
-    assert certify(complete(13), CertificateRequest("thm5.1", k=2)).cross_check is None
-
-    def boom(*_):
-        raise AssertionError("hypothesis or spectral work ran before the cross-check cap")
-
-    for name in ("spectral_profile", "gt_membership", "nu_f_exact"):
-        monkeypatch.setattr(certify_module, name, boom)
+    # the search runs by default at every n, with no size cap
+    for n in (7, 11, 13):
+        rep = certify(complete(n), CertificateRequest("thm5.1", k=2))
+        assert rep.cross_check == CrossCheck("FOUND", consistent=True), n
     for tid, d in (("thm5.1", None), ("thm1.2", None), ("thm1.1", 2)):
-        with pytest.raises(ToolError) as err:
-            certify(complete(13), CertificateRequest(tid, k=2, d=d, cross_verify=True))
-        assert err.value.code == "TOO_LARGE", tid
+        rep = certify(complete(13), CertificateRequest(tid, k=2, d=d))
+        assert rep.outcome == "CERTIFIED", tid
+        assert rep.cross_check == CrossCheck("FOUND", consistent=True), tid
+
+    # cross_verify=False is the off switch: no search runs
+    def boom(*_, **__):
+        raise AssertionError("the search ran with cross_verify=False")
+
+    monkeypatch.setattr(certify_module, "search_pkd_witness", boom)
+    for n in (7, 13):
+        rep = certify(complete(n), CertificateRequest("thm5.1", k=2, cross_verify=False))
+        assert rep.outcome == "CERTIFIED" and rep.cross_check is None, n
 
 
 def test_one_searches_memo_answers_each_graph_and_budget_for_itself():
@@ -279,8 +276,9 @@ def test_certify_disconnected():
         dict(theorem_id="cor5.2i", k=1, a=True),  # a bool is not a rational
         dict(theorem_id="cor5.2i", k=1, a=float("nan")),
         dict(theorem_id="cor5.2i", k=1, a="1/0"),
-        dict(theorem_id="thm5.1", k=1, cross_verify="yes"),  # True, False or None
+        dict(theorem_id="thm5.1", k=1, cross_verify="yes"),  # True or False
         dict(theorem_id="thm5.1", k=1, cross_verify=1),
+        dict(theorem_id="thm5.1", k=1, cross_verify=None),
     ],
 )
 def test_parameter_errors(req):

@@ -153,6 +153,14 @@ def test_certify(capsys, graph_file):
     assert data["outcome"] == "CERTIFIED"
     assert (data["threshold_num"], data["threshold_den"]) == (136, 63)
     assert data["cross_check"]["status"] == "FOUND"
+    # the cross-check runs at every n: K13 is searched, not refused
+    k13 = "13 78\n" + "\n".join(f"{u} {v}" for u in range(13) for v in range(u + 1, 13))
+    code, out, _ = run(
+        capsys,
+        ["certify", "--input", graph_file(k13, "k13.txt"), "--theorem", "thm5.1", "--k", "2"],
+    )
+    assert code == 0
+    assert json.loads(out)["cross_check"] == {"consistent": True, "status": "FOUND"}
 
 
 def test_certify_with_matrix_params(capsys, graph_file):
@@ -241,7 +249,6 @@ def test_experiment_refuses_an_unwritable_out_before_any_trial(capsys, tmp_path,
 
 def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
     k7 = "7 21\n" + "\n".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
-    k13 = "13 78\n" + "\n".join(f"{u} {v}" for u in range(13) for v in range(u + 1, 13))
     cfg_path = tmp_path / "cfg.json"
     cfg = {
         "families": [{"family": "complete", "params": {"n": 6}}],
@@ -268,11 +275,6 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
         # C5 fails the degree hypothesis; its report used to overflow on float(a)
         (["certify", "--input", graph_file(C5, "c5.txt"), "--theorem", "cor5.2i", "--k", "1",
           "--a", "1e400"], "NON_FINITE"),
-        (
-            ["certify", "--input", graph_file(k13), "--theorem", "thm5.1", "--k", "2",
-             "--cross-verify"],
-            "TOO_LARGE",
-        ),
         (["experiment", "--config", str(cfg_path), "--jobs", "0"], "CONFIG_ERROR"),
         (["verify-pkd", "--input", k4, "--k", "1", "--d", "2", "--budget", "0"], "PARAMETER_ERROR"),
         (["verify-pkd", "--input", k4, "--k", "1", "--d", "2", "--budget", "-5"], "PARAMETER_ERROR"),
@@ -295,11 +297,13 @@ def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):
         assert code == 2 and out == "", argv
         assert code_name in err, argv
         assert time.perf_counter() - start < 1, argv
-    # decisions are exact and the eigensolver has no convergence tolerance:
-    # neither flag exists, so argparse exits 2
+    # decisions are exact and the eigensolver has no convergence tolerance,
+    # and certify always cross-checks: no such flag exists, so argparse exits 2
     for argv in (
         ["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
          "--decision-tol", "1e-8"],
+        ["certify", "--input", graph_file(k7), "--theorem", "thm5.1", "--k", "2",
+         "--cross-verify"],
         ["spectrum", "--input", graph_file(K4), "--tol", "1e-8"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -23,6 +23,7 @@ from treecert import (
     validate_gt_witness,
 )
 from treecert.cli import main
+from treecert.packing import DEFAULT_BUDGET
 
 from corpus import complete, random_regular_reference, shipped_config
 
@@ -181,6 +182,26 @@ def test_generate_spec_errors():
             generate(FamilySpec(fam, params))
         assert err.value.code == "SPEC_ERROR"
     assert "'link'" in err.value.message
+    # the config's rule for parameter values: an int that is not a bool,
+    # gnp's p also a float
+    for fam, params in [
+        ("complete", {"n": "5"}),
+        ("complete", {"n": True}),
+        ("complete", {"n": 5.0}),
+        ("gnp", {"n": 5, "p": "0.5"}),
+        ("gnp", {"n": 5.0, "p": 0.5}),
+        ("random_regular", {"n": 6.0, "r": 2}),
+        ("clique_chain", {"blocks": 2, "q": 4, "links": 1.5}),
+        ("clique_gadget_lemma41", {"k": 2.0}),
+    ]:
+        with pytest.raises(ToolError) as err:
+            generate(FamilySpec(fam, params))
+        assert err.value.code == "SPEC_ERROR", params
+    assert generate(FamilySpec("gnp", {"n": 5, "p": 1})).m == 10
+    for k in (2.0, True, 1):
+        with pytest.raises(ToolError) as err:
+            lemma41_gadget_fixture(k)
+        assert err.value.code == "SPEC_ERROR", k
 
 
 def test_generate_refuses_more_than_max_vertices():
@@ -275,6 +296,36 @@ def test_small_soundness_run_fires_where_expected():
         if cert["theorem_id"] == "thm1.3"
     }
     assert [n for n, out in sorted(fired_13.items()) if out == "CERTIFIED"] == [10]
+
+
+def test_soundness_run_past_n_10_settles_every_cross_check():
+    # the shipped grid on graphs with n = 11-24, the sizes the shipped
+    # corpus does not reach: every row is cross-checked and settled, and no
+    # CERTIFIED row is refuted
+    families = (
+        [{"family": "gnp", "params": {"n": n, "p": 0.6}, "seed": 25 + n, "trials": 3}
+         for n in (11, 13, 15, 18, 21, 24)]
+        + [{"family": "random_regular", "params": {"n": n, "r": r}, "seed": 7 * n + r,
+            "trials": 2}
+           for n, r in ((11, 6), (12, 6), (13, 8), (14, 7), (15, 10), (16, 8), (17, 6),
+                        (18, 9), (20, 10), (22, 6), (24, 8))]
+        + [{"family": "clique_chain", "params": {"blocks": 3, "q": q, "links": 2}}
+           for q in range(4, 9)]
+    )
+    cfg = replace(shipped_config(), families=families)
+    report = run_experiment(cfg)
+    assert len(report.rows) == 45
+    assert report.summary["errors"] == report.summary["skipped"] == 0
+    assert report.summary["counterexamples"] == 0
+    assert all(11 <= row["graph"]["n"] <= 24 for row in report.rows)
+    certs = [cert for row in report.rows for cert in row["certificates"]]
+    assert len(certs) == 45 * 18
+    assert all(cert["cross_status"] in ("FOUND", "REFUTED") for cert in certs)
+    outcomes = Counter(cert["outcome"] for cert in certs)
+    statuses = Counter(cert["cross_status"] for cert in certs)
+    # the run exercises both verdicts of the conditions and of the search
+    assert outcomes["CERTIFIED"] > 0 and outcomes["CONDITION_FAILS"] > 0, outcomes
+    assert statuses["FOUND"] > 0 and statuses["REFUTED"] > 0, statuses
 
 
 def test_gnp_skipped_rows():
@@ -515,3 +566,8 @@ def test_jobs_width_is_clamped(monkeypatch):
 def test_default_config_matches_shipped_file():
     cfg = shipped_config()
     assert sum(e.get("trials", 1) for e in cfg.families) >= 2000
+    # the shipped file sets its budget; a config that does not gets the
+    # search's own default
+    assert cfg.packing_budget == 20000
+    bare = ExperimentConfig.from_dict({"families": [], "theorems": [], "k_grid": []})
+    assert bare.packing_budget == DEFAULT_BUDGET

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,9 @@ from treecert import (
     PackingWitness,
     ToolError,
     build_graph,
+    check_cut_lower_bound,
     generate,
+    gt_membership,
     is_connected,
     lemma41_decompose,
     lemma41_gadget_fixture,
@@ -566,6 +569,38 @@ def test_search_preconditions():
         search_pkd_witness(build_graph(4, [(0, 1), (2, 3)]), 1, 1)
     with pytest.raises(ToolError):
         search_pkd_witness(complete(4), 0, 1)
+
+
+_K6 = complete(6)
+_K6_WITNESS = search_pkd_witness(_K6, 1, 2).witness
+_GADGET = lemma41_gadget_fixture(2)
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (search_pkd_witness, (_K6, 1, 2.5)),
+        (search_pkd_witness, (_K6, 1.5, 2)),
+        (search_pkd_witness, (_K6, True, 2)),
+        (search_pkd_witness, (_K6, "1", 2)),
+        (search_pkd_witness, (_K6, 1, 2, 10.0)),
+        (search_pkd_witness, (_K6, 1, 2, True)),
+        (pack_spanning_trees, (_K6, 1.5)),
+        (pack_spanning_trees, (_K6, True)),
+        (verify_pkd_witness, (_K6, replace(_K6_WITNESS, d=2.5))),
+        (verify_pkd_witness, (_K6, replace(_K6_WITNESS, k=1.0))),
+        (gt_membership, (_K6, 1.0)),
+        (gt_membership, (_K6, True)),
+        (check_cut_lower_bound, (_K6, 2.0, "lemma2.4")),
+        (lemma41_decompose, (_GADGET.graph, _GADGET.witness, _GADGET.cut, 2.0)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_integer_parameters_are_refused_at_every_entry_point(entry, args):
+    # k, d, t and budget follow one rule: an int that is not a bool
+    with pytest.raises(ToolError) as err:
+        entry(*args)
+    assert err.value.code == "PARAMETER_ERROR"
 
 
 def _all_spanning_trees(g):
