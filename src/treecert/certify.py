@@ -262,19 +262,15 @@ class CertificateReport:
 
 
 def certify(
-    g: Graph,
-    req: CertificateRequest,
-    budget: int = DEFAULT_BUDGET,
-    searches: dict | None = None,
+    g: Graph, req: CertificateRequest, budget: int = DEFAULT_BUDGET
 ) -> CertificateReport:
     """Evaluate one sufficient condition on a connected graph.
 
     Returns a report with the hypothesis checks, the measured quantity,
     the exact threshold and one of HYPOTHESIS_FAILED / CONDITION_FAILS /
     CERTIFIED. Unless `req.cross_verify` is False, the ground-truth
-    cross-check searches P(k, d) at the d of the conclusion, at every n.
-    `searches` is a memo the caller owns, keyed on (graph, k, d, budget),
-    so the conditions of one graph share a search.
+    cross-check searches P(k, d) at the d of the conclusion, at every n,
+    once per graph and (k, d, budget): the graph's memo keeps the search.
     """
     if not is_connected(g):
         raise ToolError("DISCONNECTED", "certification needs a connected graph")
@@ -305,11 +301,10 @@ def certify(
     conclusion = f"P({req.k},{d}) holds" if passes else None
     cross = None
     if req.cross_verify:
-        memo = {} if searches is None else searches
-        key = (g, req.k, d, budget)
-        if key not in memo:
-            memo[key] = search_pkd_witness(g, req.k, d, budget=budget)
-        status = memo[key].status
+        key = ("search_pkd_witness", req.k, d, budget)
+        if key not in g.memo:
+            g.memo[key] = search_pkd_witness(g, req.k, d, budget=budget)
+        status = g.memo[key].status
         cross = CrossCheck(status, consistent=not (passes and status == "REFUTED"))
     return CertificateReport(
         theorem_id=req.theorem_id, k=req.k, d=d, a=req.a, b=req.b,

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ToolError
 from .graphs import Graph, VertexSet, _mask_to_set, boundary_size, check_ints, components
-from .graphs import is_connected
+from .graphs import is_connected, per_graph
 
 # Vertex entries over all sides `min_cut_sides` lists (n per cut: its side
 # and the complement). C100 lists 495 000; C1000 would list about 10^9.
@@ -146,7 +145,7 @@ def _list_sides(n: int, t: int, cap: list[dict[int, int]], cuts: list[int]) -> b
     return True
 
 
-@lru_cache(maxsize=512)
+@per_graph
 def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
     """Every non-empty proper vertex set whose boundary equals kappa'(G),
     ordered by size then lexicographically. Both sides of each cut appear.
@@ -187,7 +186,7 @@ def min_cut_sides(g: Graph) -> tuple[VertexSet, ...]:
     return tuple(sorted(sides, key=_canon_key))
 
 
-@lru_cache(maxsize=512)
+@per_graph
 def _min_cut_structure(g: Graph) -> tuple[int, VertexSet, tuple[VertexSet, ...]]:
     """kappa' of a connected graph with n >= 2, the residual reach-set of 0
     at the first t attaining it, and the inclusion-minimal minimum-cut
@@ -223,9 +222,8 @@ def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
-    comps = components(g)
-    if len(comps) > 1:
-        return 0, min(comps, key=_canon_key)
+    if not is_connected(g):
+        return 0, min(components(g), key=_canon_key)
     kappa, side, _ = _min_cut_structure(g)
     return kappa, side
 

@@ -2,16 +2,16 @@
 
 Vertices are dense integer labels 0..n-1 so they double as matrix indices.
 Graphs are frozen after construction; the neighbours of v are the bitmask
-adj_bits[v], degree data is derived at build time and the whole value is
-hashable, which lets higher layers memoize on it. Vertex sets, boundaries
-and components each have one route here; the union-find also serves the
-forests of `packing`.
+adj_bits[v], degree data is derived at build time and the value is
+hashable. What is computed about a graph is kept in its `memo` (see
+`per_graph`). Vertex sets, boundaries and components each have one route
+here; the union-find also serves the forests of `packing`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
 
 from .errors import ParseError, ToolError
 
@@ -48,6 +48,8 @@ class Graph:
     degrees: tuple[int, ...] = field(compare=False)
     min_degree: int = field(compare=False)
     max_degree: int = field(compare=False)
+    # Facts about this object, keyed by the function that asks (`per_graph`).
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -301,9 +303,23 @@ def components(g: Graph) -> list[VertexSet]:
     return _components_from_edges(g.n, g.edges)
 
 
-# Callers ask about one graph many times in a row (once per condition),
-# so a few entries catch the repeats without keeping many graphs alive.
-@lru_cache(maxsize=32)
+def per_graph(fn):
+    """fn(g, *args), computed once per Graph object and kept in g.memo under
+    (fn's name, *args) with args read by `Fraction`: 1, 1.0 and Fraction(1)
+    are one key, and a value it cannot read is a PARAMETER_ERROR."""
+    def once(g: Graph, *args):
+        try:
+            key = (fn.__name__, *map(Fraction, args))
+        except (TypeError, ValueError, ArithmeticError):
+            raise ToolError("PARAMETER_ERROR", f"{fn.__name__} needs numbers: {args!r}") from None
+        if key not in g.memo:
+            g.memo[key] = fn(g, *key[1:])
+        return g.memo[key]
+    once.__name__, once.__qualname__, once.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
+    return once
+
+
+@per_graph
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 

@@ -405,12 +405,11 @@ def _run_trial(args) -> dict:
         row["status"] = "SKIPPED"
         return row
 
-    searches: dict = {}  # one ground-truth search per (k, d) of this trial
     certs = []
     for fields, req in requests:
         digest = dict(fields)
         try:
-            rep = certify(g, req, budget=budget, searches=searches)
+            rep = certify(g, req, budget=budget)
             digest["outcome"] = rep.outcome
             digest["measured"] = rep.measured
             digest["threshold_decimal"] = (

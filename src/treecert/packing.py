@@ -34,12 +34,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .connectivity import GtWitness, edge_connectivity, max_flow, validate_gt_witness
 from .errors import ToolError
 from .graphs import Edge, Graph, VertexSet, boundary_size, check_ints, components, edge
-from .graphs import is_connected
+from .graphs import is_connected, per_graph
 from .graphs import _components_from_edges, _find, _mask_to_set, _union_edges
 
 DEFAULT_BUDGET = 100_000  # connected (d+1)-vertex sets tried by search_pkd_witness
@@ -73,7 +72,7 @@ class PkdSearchResult:
 # fractional packing number
 
 
-@lru_cache(maxsize=256)
+@per_graph
 def nu_f_exact(g: Graph) -> FractionalPackingResult:
     """Exact min over all vertex partitions P (p >= 2 blocks) of
     (crossing edges) / (p - 1), by Cunningham's optimal attack (1985).
@@ -93,11 +92,9 @@ def nu_f_exact(g: Graph) -> FractionalPackingResult:
     """
     if g.n < 2:
         raise ToolError("TOO_SMALL", f"need n >= 2, got n={g.n}")
-    comps = components(g)
-    if len(comps) > 1:
-        return FractionalPackingResult(
-            value=Fraction(0), partition=tuple(comps), p=len(comps)
-        )
+    if not is_connected(g):
+        comps = components(g)
+        return FractionalPackingResult(value=Fraction(0), partition=tuple(comps), p=len(comps))
     lam = Fraction(g.m, g.n - 1)
     while True:
         settled, label = _attack(g, lam)

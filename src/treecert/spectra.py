@@ -24,12 +24,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from operator import mul
 
 from .errors import ToolError
-from .graphs import Graph
+from .graphs import Graph, per_graph
 
 MAX_QL_ITERATIONS = 30
 EPS = sys.float_info.epsilon
@@ -80,10 +79,10 @@ def build_matrix(g: Graph, a: float, b: float) -> SymmetricMatrix:
     return matrix_from_rows(rows)
 
 
-@lru_cache(maxsize=512)
+@per_graph
 def inertia(g: Graph, a, b, theta) -> tuple[int, int, int]:
     """(above, at, below): how many eigenvalues of a*D(G) + b*A(G) lie
-    above, at and below theta, counted exactly (a, b, theta int or Fraction).
+    above, at and below theta, counted exactly (a, b, theta read as Fractions).
 
     By Sylvester's law of inertia these are the pivot signs of M - theta*I
     scaled to integers, reduced by fraction-free symmetric elimination
@@ -325,23 +324,19 @@ class SpectralProfile:
         return self.eigenvalues[self.n - j]
 
 
-@lru_cache(maxsize=512)
-def _profile_cached(g: Graph, a: Fraction, b: Fraction) -> SpectralProfile:
+@per_graph
+def spectral_profile(g: Graph, a: Fraction, b: Fraction) -> SpectralProfile:
+    """Spectrum of a*D(G) + b*A(G), with rank-from-either-end accessors."""
     try:
         fa, fb = float(a), float(b)
     except OverflowError:
         raise ToolError("NON_FINITE", "a or b is too large for a float")
     if _on_adjacency(g, a, b):  # a*r + b*mu over the adjacency spectrum mu
         shift = fa * g.max_degree
-        mu = _profile_cached(g, Fraction(0), Fraction(1)).eigenvalues
+        mu = spectral_profile(g, 0, 1).eigenvalues
         eigs = tuple(sorted((shift + fb * x for x in mu), reverse=True))
         if not all(map(math.isfinite, eigs)):  # also catches an infinite a*r
             raise ToolError("NON_FINITE", "a*r + b*mu exceeds the float range")
     else:
         eigs = sym_eigenvalues(build_matrix(g, fa, fb))
     return SpectralProfile(a=a, b=b, eigenvalues=eigs)
-
-
-def spectral_profile(g: Graph, a, b) -> SpectralProfile:
-    """Spectrum of a*D(G) + b*A(G), with rank-from-either-end accessors."""
-    return _profile_cached(g, Fraction(a), Fraction(b))

@@ -21,6 +21,7 @@ from treecert import (
     generate,
     harness,
     run_experiment,
+    spectra,
 )
 from treecert.certify import MAX_DIGITS
 from treecert.cli import main
@@ -35,6 +36,7 @@ from corpus import (
     graphs,
     induces_connected,
     random_connected_graph,
+    shipped_config,
     small_cut_scan,
     two_blocks_bridge,
 )
@@ -157,22 +159,64 @@ def test_cross_verify_defaults(monkeypatch):
         assert rep.outcome == "CERTIFIED" and rep.cross_check is None, n
 
 
-def test_one_searches_memo_answers_each_graph_and_budget_for_itself():
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper; return the list of its calls' args."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_graph_memo_answers_each_graph_and_budget_for_itself(monkeypatch):
     # thm1.1 asks P(1, 2) of both graphs: FOUND on K5, REFUTED on C5
     req = CertificateRequest("thm1.1", k=1, d=2)
     alone = {g: certify(g, req).cross_check for g in (complete(5), cycle(5))}
     assert {c.status for c in alone.values()} == {"FOUND", "REFUTED"}
+    searches = _counting(monkeypatch, certify_module, "search_pkd_witness")
     for order in (list(alone), list(alone)[::-1]):
-        searches: dict = {}
-        for g in order:
-            assert certify(g, req, searches=searches).cross_check == alone[g]
-        assert len(searches) == 2
+        fresh = [build_graph(g.n, g.sorted_edges()) for g in order]
+        for g in fresh + fresh:
+            assert certify(g, req).cross_check == alone[g]
+    assert len(searches) == 4  # once per graph object, in either order
     # a search cut short by a small budget does not answer for a larger one
     chain = generate(FamilySpec("clique_chain", {"blocks": 2, "q": 4}))
     req = CertificateRequest("thm1.1", k=1, d=4)
-    searches = {}
-    assert certify(chain, req, budget=1, searches=searches).cross_check.status == "INCONCLUSIVE"
-    assert certify(chain, req, searches=searches).cross_check.status == "REFUTED"
+    assert certify(chain, req, budget=1).cross_check.status == "INCONCLUSIVE"
+    assert certify(chain, req).cross_check.status == "REFUTED"
+    assert certify(chain, req, budget=1).cross_check.status == "INCONCLUSIVE"
+    assert len(searches) == 6
+
+
+def test_the_graph_memo_shares_one_search_and_one_solve_per_graph(monkeypatch):
+    requests = [req for _, req in harness._validate_config(shipped_config())]
+    assert len(requests) == 18 and {(r.k, r.a, r.b) for r in requests} == {
+        (2, None, None), (2, 1, None), (2, 1, 2), (2, 1, -2)
+    }
+    searches = _counting(monkeypatch, certify_module, "search_pkd_witness")
+    solves = _counting(monkeypatch, spectra, "sym_eigenvalues")
+    profiles = _counting(monkeypatch, certify_module, "spectral_profile")
+    # on a regular graph every (a, b) reads the one adjacency solve
+    g = generate(FamilySpec("random_regular", {"n": 10, "r": 6}, seed=0))
+    for req in requests:
+        certify(g, req)
+    assert len(searches) == 1 and len(solves) == 1 and len(profiles) > 1
+    # an irregular graph gets one solve per distinct (a, b)
+    g = generate(FamilySpec("gnp", {"n": 12, "p": 0.8}, seed=1))
+    assert g.min_degree >= 6 and g.min_degree != g.max_degree
+    del profiles[:], solves[:]
+    for req in requests:
+        certify(g, req)
+    distinct = {(a, b) for _, a, b in profiles}
+    assert len(searches) == 2 and len(solves) == len(distinct) < len(profiles)
+    # an equal graph built separately starts with an empty memo
+    twin = build_graph(g.n, g.sorted_edges())
+    assert twin == g and hash(twin) == hash(g) and g.memo and twin.memo == {}
+    certify(twin, requests[0])
+    assert len(searches) == 3
 
 
 def test_a_or_b_past_the_float_range_is_refused_when_the_request_is_built(monkeypatch):

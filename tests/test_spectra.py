@@ -101,6 +101,25 @@ def test_inertia_exact_cases():
     assert inertia(path(3), 2, -1, 2) == (1, 1, 1)
 
 
+def test_inertia_reads_ints_floats_and_fractions_alike():
+    # C5 adjacency is {2, 0.618 x 2, -1.618 x 2}: A against 1/2, I + A and
+    # A/2 against 0 each have three eigenvalues above and two below
+    for point in ((0, 1, Fraction(1, 2)), (Fraction(1, 2), 1, 0), (0, Fraction(1, 2), 0)):
+        forms = [point, tuple(map(float, point)), tuple(map(Fraction, point))]
+        for first in forms:
+            g = cycle(5)
+            assert g.memo == {}
+            for args in [first] + forms:  # the memo empty, then holding the answer
+                assert inertia(g, *args) == (3, 0, 2), (first, args)
+    for bad in (None, "x", float("nan"), float("inf"), "1/0"):
+        with pytest.raises(ToolError) as err:
+            inertia(cycle(5), 0, 1, bad)
+        assert err.value.code == "PARAMETER_ERROR", bad
+        with pytest.raises(ToolError) as err:
+            spectral_profile(cycle(5), bad, 1)
+        assert err.value.code == "PARAMETER_ERROR", bad
+
+
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -298,7 +317,6 @@ def test_regular_graph_profiles_cost_one_eigensolve(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(spectra, "sym_eigenvalues", counted)
-    spectra._profile_cached.cache_clear()
     g = generate(FamilySpec("random_regular", {"n": 12, "r": 5}, seed=3))
     # the (a, b) pairs the shipped conditions use at a_grid [1], b_grid [2, -2]
     for a, b in [(0, 1), (1, -1), (1, 1), (1, 2), (1, -2)]:
