@@ -34,9 +34,9 @@ from .graphs import (
 )
 from .harness import (
     ExperimentConfig,
-    ExperimentReport,
     FamilySpec,
     Lemma41Fixture,
+    aggregates_csv,
     generate,
     lemma41_gadget_fixture,
     run_experiment,

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .certify import CertificateRequest, certify, rational
 from .connectivity import gt_membership
 from .errors import ToolError
 from .graphs import Graph, parse_graph
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, aggregates_csv, run_experiment
 from .packing import (
     DEFAULT_BUDGET,
     nu_f_exact,
@@ -134,27 +135,38 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _write_lines(lines, stream) -> dict:
+    """Write each report line as it comes; return the last, the summary."""
+    with closing(lines):
+        for line in lines:
+            stream.write(json.dumps(line, sort_keys=True) + "\n")
+    return line
+
+
 def _cmd_experiment(args) -> int:
     try:
         data = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as err:
         raise ToolError("CONFIG_ERROR", f"bad config JSON: {err}")
-    cfg = ExperimentConfig.from_dict(data)
+    lines = run_experiment(ExperimentConfig.from_dict(data), jobs=args.jobs)
     if not args.out:
-        sys.stdout.write(run_experiment(cfg, jobs=args.jobs).to_jsonl())
+        _write_lines(lines, sys.stdout)
         return 0
-    paths, created = (Path(args.out), Path(args.out + ".csv")), []
+    out, csv, tmp = Path(args.out), Path(args.out + ".csv"), Path(args.out + ".tmp")
+    created = []
     try:  # refuse an unwritable report path before any trial, truncating nothing
-        for path in paths:
+        for path in (out, csv):
             try:
                 path.open("x").close()
                 created.append(path)
             except FileExistsError:
                 path.open("a").close()
-        report = run_experiment(cfg, jobs=args.jobs)
-        paths[0].write_text(report.to_jsonl())
-        paths[1].write_text(report.aggregates_csv())
-    except BaseException:  # a failed run leaves no file the probe made
+        with tmp.open("x") as stream:  # the rows go here until the run is done
+            created.append(tmp)
+            summary = _write_lines(lines, stream)
+        csv.write_text(aggregates_csv(summary))
+        tmp.replace(out)
+    except BaseException:  # a failed run leaves no file it made
         for path in created:
             path.unlink(missing_ok=True)
         raise
@@ -210,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a seeded experiment config")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)
     return parser

@@ -1,5 +1,5 @@
-"""Graph family generators, the seeded experiment runner, and report
-serialization.
+"""Graph family generators, the seeded experiment runner, and the
+report's aggregate table.
 
 The runner is the counterexample hunter: it sweeps families of graphs,
 evaluates the selected certification conditions, cross-checks each
@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import random
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
 
 from .certify import THEOREM_IDS, CertificateRequest, certify, param_error, rational
@@ -261,7 +262,6 @@ class ExperimentConfig:
     a_grid: list = field(default_factory=list)
     b_grid: list = field(default_factory=list)
     packing_budget: int = DEFAULT_BUDGET
-    jobs: int = 1
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -284,9 +284,8 @@ def _validate_config(cfg: ExperimentConfig) -> list:
     for name in ("families", "theorems", "k_grid", "d_grid", "a_grid", "b_grid"):
         if not isinstance(getattr(cfg, name), list):
             raise ToolError("CONFIG_ERROR", f"{name} must be a list")
-    for name in ("packing_budget", "jobs"):
-        if not is_int(getattr(cfg, name)):
-            raise ToolError("CONFIG_ERROR", f"{name} must be an integer")
+    if not is_int(cfg.packing_budget):
+        raise ToolError("CONFIG_ERROR", "packing_budget must be an integer")
     if not all(is_int(v) for v in cfg.k_grid + cfg.d_grid):
         raise ToolError("CONFIG_ERROR", "k_grid and d_grid entries must be integers")
     if not cfg.families:
@@ -441,46 +440,33 @@ _AGG_COLS = (
 )
 
 
-@dataclass
-class ExperimentReport:
-    rows: list
-    summary: dict
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(r, sort_keys=True) for r in self.rows]
-        lines.append(json.dumps({"type": "summary", **self.summary}, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-    def aggregates_csv(self) -> str:
-        per = self.summary["per_theorem"]
-        out = [",".join(("theorem_id",) + _AGG_COLS)]
-        for tid in sorted(per):
-            out.append(",".join([tid] + [str(per[tid][c]) for c in _AGG_COLS]))
-        totals = [sum(row[c] for row in per.values()) for c in _AGG_COLS]
-        out.append(",".join(["TOTAL"] + [str(t) for t in totals]))
-        return "\n".join(out) + "\n"
+def aggregates_csv(summary: dict) -> str:
+    """The per-theorem table of a report's summary line, with a TOTAL row."""
+    per = summary["per_theorem"]
+    out = [",".join(("theorem_id",) + _AGG_COLS)]
+    for tid in sorted(per):
+        out.append(",".join([tid] + [str(per[tid][c]) for c in _AGG_COLS]))
+    totals = [sum(row[c] for row in per.values()) for c in _AGG_COLS]
+    out.append(",".join(["TOTAL"] + [str(t) for t in totals]))
+    return "\n".join(out) + "\n"
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentReport:
-    """Run every configured trial and aggregate; deterministic for a fixed
-    config at any worker count (results merge by trial index)."""
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
+    """Check the config, then return the report's JSON lines as an iterator:
+    each trial's row in trial order, then {"type": "summary", ...}. Trials
+    run as the lines are taken, and closing the iterator stops the pending
+    ones. The lines do not depend on `jobs`."""
     requests = _validate_config(cfg)
-    width = jobs if jobs is not None else cfg.jobs
-    if width < 1:
-        raise ToolError("CONFIG_ERROR", f"jobs must be >= 1, got {width}")
-    tasks = []
-    index = 0
-    for entry in cfg.families:
-        for local in range(entry.get("trials", 1)):
-            tasks.append((requests, cfg.packing_budget, entry, index, local))
-            index += 1
-    width = min(width, len(tasks), os.cpu_count() or 1)
-    if width > 1:
-        with _process_pool(width) as pool:
-            rows = list(pool.map(_run_trial, tasks, chunksize=32))
-    else:
-        rows = [_run_trial(t) for t in tasks]
-    return ExperimentReport(rows=rows, summary=_summarize(cfg, rows))
+    if jobs < 1:
+        raise ToolError("CONFIG_ERROR", f"jobs must be >= 1, got {jobs}")
+    total = sum(entry.get("trials", 1) for entry in cfg.families)
+    # made as they are taken, so a serial run's memory does not grow with its trials
+    trials = ((entry, local) for entry in cfg.families for local in range(entry.get("trials", 1)))
+    tasks = (
+        (requests, cfg.packing_budget, entry, index, local)
+        for index, (entry, local) in enumerate(trials)
+    )
+    return _report_lines(cfg, tasks, min(jobs, total, os.cpu_count() or 1))
 
 
 def _process_pool(width: int):
@@ -492,40 +478,41 @@ def _process_pool(width: int):
     return ProcessPoolExecutor(max_workers=width)
 
 
-def _summarize(cfg: ExperimentConfig, rows: list) -> dict:
+def _report_lines(cfg: ExperimentConfig, tasks, width: int):
+    """Each trial's row in trial order, then the summary folded from them."""
     per: dict = {}
-    skipped = errors = 0
-    inter_pass = inter_total = 0
-    counterexamples = 0
-    for row in rows:
-        if row.get("status") == "SKIPPED":
-            skipped += 1
-            continue
-        if "error" in row:
-            errors += 1
-            continue
-        if "interlacing_pass" in row:
-            inter_total += 1
-            inter_pass += bool(row["interlacing_pass"])
-        for cert in row.get("certificates", ()):
-            tid = cert["theorem_id"]
-            agg = per.setdefault(tid, dict.fromkeys(_AGG_COLS + ("errors",), 0))
-            if "error" in cert:
-                agg["errors"] += 1
-                continue
-            agg["evaluated"] += 1
-            outcome = cert["outcome"]
-            agg[outcome.lower()] += 1
-            agg["cross_" + cert["cross_status"].lower()] += 1
-            if not cert["consistent"]:
-                agg["counterexamples"] += 1
-                counterexamples += 1
-    digest_source = {k: v for k, v in asdict(cfg).items() if k != "jobs"}
-    config_digest = hashlib.sha256(
-        json.dumps(digest_source, sort_keys=True).encode()
-    ).hexdigest()
-    return {
-        "trials": len(rows),
+    trials = skipped = errors = counterexamples = inter_pass = inter_total = 0
+    with _process_pool(width) if width > 1 else nullcontext() as pool:
+        rows = pool.map(_run_trial, tasks, chunksize=32) if pool else (_run_trial(t) for t in tasks)
+        with closing(rows):  # closing the report cancels the trials not yet started
+            for row in rows:
+                yield row
+                trials += 1
+                if row.get("status") == "SKIPPED":
+                    skipped += 1
+                    continue
+                if "error" in row:
+                    errors += 1
+                    continue
+                if "interlacing_pass" in row:
+                    inter_total += 1
+                    inter_pass += bool(row["interlacing_pass"])
+                for cert in row.get("certificates", ()):
+                    tid = cert["theorem_id"]
+                    agg = per.setdefault(tid, dict.fromkeys(_AGG_COLS + ("errors",), 0))
+                    if "error" in cert:
+                        agg["errors"] += 1
+                        continue
+                    agg["evaluated"] += 1
+                    agg[cert["outcome"].lower()] += 1
+                    agg["cross_" + cert["cross_status"].lower()] += 1
+                    if not cert["consistent"]:
+                        agg["counterexamples"] += 1
+                        counterexamples += 1
+    config_digest = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
+    yield {
+        "type": "summary",
+        "trials": trials,
         "skipped": skipped,
         "errors": errors,
         "interlacing": {"pass": inter_pass, "total": inter_total},

@@ -5,6 +5,7 @@ them live); a FAIL line is followed by the failing assertion.
 """
 
 import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -24,17 +25,18 @@ from treecert import (
     nu_f_exact,
     pack_spanning_trees,
     quotient_laplacian,
-    run_experiment,
     search_pkd_witness,
     spectral_profile,
     sym_eigenvalues,
     tau_packing,
     validate_gt_witness,
 )
+from treecert import cli
 from treecert.packing import _is_spanning_tree
 from treecert.spectra import build_matrix, matrix_from_rows
 
 from corpus import (
+    SHIPPED_CONFIG,
     all_connected_graphs,
     complete,
     cycle,
@@ -46,7 +48,6 @@ from corpus import (
     random_connected_graph,
     random_graph,
     remainder_feasible,
-    shipped_config,
     small_cut_scan,
     star,
     tau_partition_bruteforce,
@@ -74,8 +75,11 @@ def packing_corpus():
 
 
 @pytest.fixture(scope="module")
-def default_report():
-    return run_experiment(shipped_config(), jobs=1)
+def default_report(tmp_path_factory):
+    """The shipped corpus report as the CLI writes it with --out."""
+    out = tmp_path_factory.mktemp("shipped") / "report.jsonl"
+    assert cli.main(["experiment", "--config", str(SHIPPED_CONFIG), "--out", str(out)]) == 0
+    return out.read_bytes()
 
 
 def test_criterion_1_oracle_equivalence(packing_corpus):
@@ -141,10 +145,10 @@ def test_criterion_3_sufficient_condition_for_the_packing_property():
 
 
 def test_criterion_4_soundness_suite(default_report):
-    rep = default_report
-    ok = rep.summary["trials"] >= 2000
-    ok = ok and rep.summary["counterexamples"] == 0
-    ok = ok and rep.summary["errors"] == 0
+    *rows, summary = map(json.loads, default_report.splitlines())
+    ok = summary["trials"] >= 2000
+    ok = ok and summary["counterexamples"] == 0
+    ok = ok and summary["errors"] == 0
 
     # the two flagship certificates, reproduced exactly
     k7 = certify(complete(7), CertificateRequest("thm1.2", k=2))
@@ -160,14 +164,14 @@ def test_criterion_4_soundness_suite(default_report):
     # the complete graphs from K7 up, and the fourth-smallest one on K10
     fires_12 = {
         row["graph"]["n"]
-        for row in rep.rows
+        for row in rows
         if row["family"] == "complete"
         for cert in row["certificates"]
         if cert["theorem_id"] == "thm1.2" and cert["outcome"] == "CERTIFIED"
     }
     fires_13 = {
         row["graph"]["n"]
-        for row in rep.rows
+        for row in rows
         if row["family"] == "complete"
         for cert in row["certificates"]
         if cert["theorem_id"] == "thm1.3" and cert["outcome"] == "CERTIFIED"
@@ -176,8 +180,8 @@ def test_criterion_4_soundness_suite(default_report):
     _report(
         4,
         ok,
-        f"{rep.summary['trials']} trials, "
-        f"{rep.summary['counterexamples']} counterexamples",
+        f"{summary['trials']} trials, "
+        f"{summary['counterexamples']} counterexamples",
     )
 
 
@@ -313,11 +317,13 @@ def test_criterion_11_remainder_reduction_soundness():
 SHIPPED_REPORT_SHA256 = "1e2a48c9b05dbcf44034a39df3bfeaa64d9409141f9e0ca9c19188dba2d00991"
 
 
-def test_criterion_12_determinism(default_report):
-    serial = default_report.to_jsonl()
-    digest = hashlib.sha256(serial.encode()).hexdigest()
-    parallel = run_experiment(shipped_config(), jobs=2).to_jsonl()
-    ok = serial == parallel
-    ok = ok and serial == run_experiment(shipped_config(), jobs=1).to_jsonl()
-    ok = ok and digest == SHIPPED_REPORT_SHA256
-    _report(12, ok, f"{len(serial)} bytes per report, sha256 {digest[:12]}")
+def test_criterion_12_determinism(default_report, capsys, tmp_path):
+    digest = hashlib.sha256(default_report).hexdigest()
+    out = tmp_path / "par.jsonl"
+    ok = digest == SHIPPED_REPORT_SHA256
+    # the same bytes at two workers, through stdout and through --out
+    argv = ["experiment", "--config", str(SHIPPED_CONFIG), "--jobs", "2"]
+    capsys.readouterr()
+    ok = ok and cli.main(argv) == 0 and capsys.readouterr().out.encode() == default_report
+    ok = ok and cli.main(argv + ["--out", str(out)]) == 0 and out.read_bytes() == default_report
+    _report(12, ok, f"{len(default_report)} bytes per report, sha256 {digest[:12]}")

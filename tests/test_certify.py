@@ -377,8 +377,8 @@ def test_the_rule_is_checked_once_when_a_request_is_built(monkeypatch):
         return built
 
     monkeypatch.setattr(harness, "_validate_config", build_then_trap)
-    report = run_experiment(cfg, jobs=1)
-    certs = report.rows[0]["certificates"]
+    row, _ = run_experiment(cfg, jobs=1)
+    certs = row["certificates"]
     assert len(certs) == len(requests) and not any("error" in c for c in certs)
 
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from treecert import harness
+from treecert import ToolError, harness
 from treecert.cli import main
 
 
@@ -229,7 +229,7 @@ def test_experiment_refuses_an_unwritable_out_before_any_trial(capsys, tmp_path,
     (tmp_path / "fresh.jsonl.csv").mkdir()
     code, out, err = run(capsys, experiment + [str(fresh)])
     assert code == 2 and "error IO" in err and not fresh.exists()
-    # a run that fails after the probe removes only the files the probe made
+    # a config refused by its check leaves no file behind and changes none
     cfg_path.write_text(json.dumps(
         {"families": [{"family": "complete", "params": {"n": 6}}], "theorems": ["cor5.2i"],
          "k_grid": [1], "a_grid": ["1e400"]}
@@ -245,6 +245,44 @@ def test_experiment_refuses_an_unwritable_out_before_any_trial(capsys, tmp_path,
     assert code == 2 and "NON_FINITE" in err
     assert report.read_text() == "old report\n"
     assert (tmp_path / "r.jsonl.csv").read_text() == "old table\n"
+
+
+def test_experiment_that_fails_part_way_leaves_the_out_files_as_they_were(
+    capsys, tmp_path, monkeypatch
+):
+    run_trial, ran = harness._run_trial, []
+
+    def third_fails(task):
+        ran.append(task[3])
+        if len(ran) == 3:
+            raise ToolError("SPEC_ERROR", "the third trial fails")
+        return run_trial(task)
+
+    monkeypatch.setattr(harness, "_run_trial", third_fails)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"families": [{"family": "complete", "params": {"n": 6}, "trials": 5}],
+         "theorems": ["thm5.1"], "k_grid": [1]}
+    ))
+    report, table = tmp_path / "r.jsonl", tmp_path / "r.jsonl.csv"
+    report.write_bytes(b"old report\n")
+    table.write_bytes(b"old table\n")
+    files = sorted(tmp_path.iterdir())
+    for out in (report, tmp_path / "new.jsonl"):
+        ran.clear()
+        code, printed, err = run(capsys, ["experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2 and printed == "" and "SPEC_ERROR" in err
+        assert ran == [0, 1, 2]
+        # no temporary file is left, and no fresh report or table
+        assert sorted(tmp_path.iterdir()) == files
+        assert report.read_bytes() == b"old report\n" and table.read_bytes() == b"old table\n"
+    # a temporary file already there is not ours: the run is refused before any trial
+    stale = tmp_path / "r.jsonl.tmp"
+    stale.write_bytes(b"stale\n")
+    ran.clear()
+    code, printed, err = run(capsys, ["experiment", "--config", str(cfg_path), "--out", str(report)])
+    assert code == 2 and printed == "" and "error IO" in err and ran == []
+    assert stale.read_bytes() == b"stale\n" and report.read_bytes() == b"old report\n"
 
 
 def test_hostile_flags_exit_2(capsys, graph_file, tmp_path):

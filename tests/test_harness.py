@@ -14,6 +14,7 @@ from treecert import (
     FamilySpec,
     PkdSearchResult,
     ToolError,
+    aggregates_csv,
     edge_connectivity,
     generate,
     gt_membership,
@@ -242,34 +243,35 @@ def _tiny_config(**overrides):
         a_grid=[1],
         b_grid=[2, -2],
         packing_budget=5000,
-        jobs=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _text(cfg, jobs=1) -> str:
+    """The whole report as one JSON text, with keys sorted as the CLI writes them."""
+    return json.dumps(list(run_experiment(cfg, jobs=jobs)), sort_keys=True)
 
 
 def test_zero_trials_empty_report():
     cfg = _tiny_config(
         families=[{"family": "complete", "params": {"n": 7}, "seed": 0, "trials": 0}]
     )
-    report = run_experiment(cfg)
-    assert report.rows == []
-    assert report.summary["trials"] == 0
-    assert report.summary["counterexamples"] == 0
+    *rows, summary = run_experiment(cfg)
+    assert rows == []
+    assert summary["type"] == "summary"
+    assert summary["trials"] == 0
+    assert summary["counterexamples"] == 0
 
 
 def test_same_config_same_bytes():
     cfg = _tiny_config()
-    a = run_experiment(cfg).to_jsonl()
-    b = run_experiment(cfg).to_jsonl()
-    assert a == b
+    assert _text(cfg) == _text(cfg)
 
 
 def test_jobs_do_not_change_bytes():
     cfg = _tiny_config()
-    serial = run_experiment(cfg, jobs=1).to_jsonl()
-    parallel = run_experiment(cfg, jobs=2).to_jsonl()
-    assert serial == parallel
+    assert _text(cfg, jobs=1) == _text(cfg, jobs=2)
 
 
 def test_small_soundness_run_fires_where_expected():
@@ -280,18 +282,18 @@ def test_small_soundness_run_fires_where_expected():
         ],
         theorems=["thm1.2", "thm1.3"],
     )
-    report = run_experiment(cfg)
-    assert report.summary["counterexamples"] == 0
+    *rows, summary = run_experiment(cfg)
+    assert summary["counterexamples"] == 0
     fired_12 = {
         row["graph"]["n"]: cert["outcome"]
-        for row in report.rows
+        for row in rows
         for cert in row["certificates"]
         if cert["theorem_id"] == "thm1.2"
     }
     assert [n for n, out in sorted(fired_12.items()) if out == "CERTIFIED"] == [7, 8, 9, 10]
     fired_13 = {
         row["graph"]["n"]: cert["outcome"]
-        for row in report.rows
+        for row in rows
         for cert in row["certificates"]
         if cert["theorem_id"] == "thm1.3"
     }
@@ -313,12 +315,12 @@ def test_soundness_run_past_n_10_settles_every_cross_check():
            for q in range(4, 9)]
     )
     cfg = replace(shipped_config(), families=families)
-    report = run_experiment(cfg)
-    assert len(report.rows) == 45
-    assert report.summary["errors"] == report.summary["skipped"] == 0
-    assert report.summary["counterexamples"] == 0
-    assert all(11 <= row["graph"]["n"] <= 24 for row in report.rows)
-    certs = [cert for row in report.rows for cert in row["certificates"]]
+    *rows, summary = run_experiment(cfg)
+    assert len(rows) == 45
+    assert summary["errors"] == summary["skipped"] == 0
+    assert summary["counterexamples"] == 0
+    assert all(11 <= row["graph"]["n"] <= 24 for row in rows)
+    certs = [cert for row in rows for cert in row["certificates"]]
     assert len(certs) == 45 * 18
     assert all(cert["cross_status"] in ("FOUND", "REFUTED") for cert in certs)
     outcomes = Counter(cert["outcome"] for cert in certs)
@@ -334,9 +336,9 @@ def test_gnp_skipped_rows():
         theorems=["thm5.1"],
         k_grid=[1],
     )
-    report = run_experiment(cfg)
-    assert all(row.get("status") == "SKIPPED" for row in report.rows)
-    assert report.summary["skipped"] == 2
+    *rows, summary = run_experiment(cfg)
+    assert all(row.get("status") == "SKIPPED" for row in rows)
+    assert summary["skipped"] == 2
 
 
 def test_one_vertex_graphs_are_too_small_rows_beside_a_normal_family():
@@ -347,12 +349,11 @@ def test_one_vertex_graphs_are_too_small_rows_beside_a_normal_family():
         {"family": "path", "params": {"n": 1}, "seed": 0, "trials": 1},
         {"family": "gnp", "params": {"n": 1, "p": 0.5}, "seed": 3, "trials": 2},
     ]
-    report = run_experiment(_tiny_config(families=tiny + [normal]))
-    *small, row = report.rows
+    *small, row, summary = run_experiment(_tiny_config(families=tiny + [normal]))
     assert [r["error"] for r in small] == ["TOO_SMALL"] * 4
     assert all("certificates" not in r and r["graph"]["n"] == 1 for r in small)
-    assert report.summary["errors"] == 4
-    (alone,) = run_experiment(_tiny_config(families=[normal])).rows
+    assert summary["errors"] == 4
+    alone, _ = run_experiment(_tiny_config(families=[normal]))
     assert {**row, "trial": 0} == alone
 
 
@@ -366,7 +367,7 @@ def test_each_trial_runs_one_search_per_distinct_k_and_d(monkeypatch):
         ],
         theorems=["thm1.1", "thm5.1", "cor5.3i"], k_grid=[1, 2], d_grid=[1, 2],
     )
-    plain = run_experiment(cfg, jobs=1).rows
+    plain = list(run_experiment(cfg, jobs=1))
     search, calls = certify_module.search_pkd_witness, []
 
     def counted(g, k, d, budget):
@@ -374,7 +375,7 @@ def test_each_trial_runs_one_search_per_distinct_k_and_d(monkeypatch):
         return search(g, k, d, budget=budget)
 
     monkeypatch.setattr(certify_module, "search_pkd_witness", counted)
-    assert run_experiment(cfg, jobs=1).rows == plain
+    assert list(run_experiment(cfg, jobs=1)) == plain
     per_trial = {6: {1, 2, 5}, 5: {1, 2}}
     want = {(n, k, d): 2 for n, ds in per_trial.items() for k in (1, 2) for d in ds}
     assert Counter(calls) == want and len(calls) == 2 * 2 * 3 + 2 * 2 * 2
@@ -384,24 +385,24 @@ def test_a_certified_row_the_search_refutes_is_a_counterexample(monkeypatch):
     monkeypatch.setattr(
         certify_module, "search_pkd_witness", lambda *_, **__: PkdSearchResult("REFUTED", None, 0)
     )
-    report = run_experiment(_tiny_config())
-    certs = [c for row in report.rows for c in row.get("certificates", ())]
+    *rows, summary = run_experiment(_tiny_config())
+    certs = [c for row in rows for c in row.get("certificates", ())]
     certified = sum(c.get("outcome") == "CERTIFIED" for c in certs)
     assert certified > 0
     assert sum(c.get("consistent") is False for c in certs) == certified
-    assert report.summary["counterexamples"] == certified
+    assert summary["counterexamples"] == certified
 
 
 def test_interlacing_recorded_per_trial():
-    report = run_experiment(_tiny_config())
-    inter = report.summary["interlacing"]
-    assert inter["total"] == len(report.rows)
+    *rows, summary = run_experiment(_tiny_config())
+    inter = summary["interlacing"]
+    assert inter["total"] == len(rows)
     assert inter["pass"] == inter["total"]
 
 
 def test_csv_export():
-    report = run_experiment(_tiny_config())
-    csv = report.aggregates_csv()
+    *_, summary = run_experiment(_tiny_config())
+    csv = aggregates_csv(summary)
     lines = csv.strip().splitlines()
     assert lines[0].startswith("theorem_id,evaluated")
     assert lines[-1].startswith("TOTAL,")
@@ -425,6 +426,10 @@ def test_config_validation():
     with pytest.raises(ToolError) as err:
         ExperimentConfig.from_dict({"families": [], "theorems": [], "k_grid": [], "decision_tol": 1e-8})
     assert err.value.code == "CONFIG_ERROR" and "decision_tol" in err.value.message
+    # the worker count is set by `--jobs` and `run_experiment(jobs=)` alone
+    with pytest.raises(ToolError) as err:
+        ExperimentConfig.from_dict({"families": [], "theorems": [], "k_grid": [], "jobs": 2})
+    assert err.value.code == "CONFIG_ERROR" and "jobs" in err.value.message
     k7 = {"family": "complete", "params": {"n": 7}}
     for bad in [
         dict(families=[{**k7, "trials": "2"}]),
@@ -442,12 +447,10 @@ def test_config_validation():
         dict(a_grid=1),
         dict(b_grid=None),
         dict(packing_budget="5"),
-        dict(jobs="2"),
         dict(theorems=["cor5.2i"], a_grid=[-1]),  # every a below a_min = 0
         dict(theorems=["cor3.1ii"], a_grid=[-1], b_grid=[0.5]),  # a/b < -1
         dict(theorems=["cor3.1ii"], b_grid=["two"]),
         dict(theorems=["cor5.3i"], a_grid=[None]),
-        dict(jobs=0),
     ]:
         with pytest.raises(ToolError) as err:
             run_experiment(_tiny_config(**bad))
@@ -455,6 +458,26 @@ def test_config_validation():
     with pytest.raises(ToolError) as err:
         run_experiment(_tiny_config(), jobs=0)
     assert err.value.code == "CONFIG_ERROR"
+
+
+def test_trials_run_as_the_lines_are_taken(monkeypatch):
+    run_trial, ran = harness._run_trial, []
+
+    def counted(task):
+        ran.append(task[3])
+        return run_trial(task)
+
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    lines = run_experiment(_tiny_config(), jobs=1)
+    assert ran == []
+    first = next(lines)
+    assert ran == [0] and first["trial"] == 0
+    lines.close()
+    assert ran == [0]
+    # a bad config raises at the call, before any line is asked for
+    with pytest.raises(ToolError) as err:
+        run_experiment(_tiny_config(theorems=["cor5.2i"], a_grid=["1e400"]))
+    assert err.value.code == "NON_FINITE" and ran == [0]
 
 
 def test_trial_count_cap_is_checked_before_any_trial(monkeypatch):
@@ -511,7 +534,8 @@ def test_grid_points_outside_a_rule_are_skipped():
         theorems=["cor3.1i", "cor3.1ii", "cor5.2i"],
         a_grid=[-2, 1],
     )
-    certs = run_experiment(cfg).rows[0]["certificates"]
+    row, _ = run_experiment(cfg)
+    certs = row["certificates"]
     assert [(c["theorem_id"], c["a"], c["b"]) for c in certs] == [
         ("cor3.1i", 1, None),
         ("cor3.1ii", 1, 2),
@@ -523,7 +547,8 @@ def test_grid_points_outside_a_rule_are_skipped():
 def test_thm11_grid_points_outside_its_rule_are_skipped():
     k7 = [{"family": "complete", "params": {"n": 7}, "seed": 0, "trials": 1}]
     cfg = _tiny_config(families=k7, theorems=["thm1.1"], k_grid=[0, 1], d_grid=[0, 2])
-    certs = run_experiment(cfg).rows[0]["certificates"]
+    row, _ = run_experiment(cfg)
+    certs = row["certificates"]
     assert [(c["theorem_id"], c["k"], c["d"]) for c in certs] == [("thm1.1", 1, 2)]
     assert certs[0]["outcome"] == "CERTIFIED"
     with pytest.raises(ToolError) as err:
@@ -547,19 +572,19 @@ def test_jobs_width_is_clamped(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+            return (fn(t) for t in tasks)
 
     cfg = _tiny_config(
         families=[{"family": "cycle", "params": {"n": 5}, "seed": 0, "trials": 3}],
         theorems=["thm5.1"],
         k_grid=[1],
     )
-    serial = run_experiment(cfg, jobs=1).to_jsonl()
+    serial = _text(cfg, jobs=1)
     monkeypatch.setattr(harness, "_process_pool", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    assert run_experiment(cfg, jobs=64).to_jsonl() == serial  # clamped to 3 tasks
+    assert _text(cfg, jobs=64) == serial  # clamped to 3 tasks
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    assert run_experiment(cfg, jobs=64).to_jsonl() == serial  # clamped to 2 cores
+    assert _text(cfg, jobs=64) == serial  # clamped to 2 cores
     assert widths == [3, 2]
 
 
